@@ -10,7 +10,7 @@ Conventions: truncated Fock space, quadratures in shot-noise units with
 X = a + a† (vacuum variance 1), fidelity F = <t|rho|t> against pure targets.
 """
 
-from .channels import Efficiency, PhaseJitter, loss_channel, loss_on_mode_a, phase_jitter
+from .channels import loss_channel, loss_on_mode_a, phase_jitter
 from .fock import (
     MixedState,
     PureState,
@@ -28,7 +28,6 @@ from .homodyne import (
     closed_form_state,
     condition,
     condition_tail,
-    marginal,
     marginal_pdf,
 )
 from .rsp import (
@@ -70,10 +69,8 @@ __all__ = [
     "BASE_HERALD_RATE_HZ",
     "BlochCoords",
     "Conditioning",
-    "Efficiency",
     "HomodyneRecord",
     "MixedState",
-    "PhaseJitter",
     "PreparedState",
     "PureState",
     "ReconResult",
@@ -101,7 +98,6 @@ __all__ = [
     "log_likelihood",
     "loss_channel",
     "loss_on_mode_a",
-    "marginal",
     "marginal_pdf",
     "mean_photon_number",
     "mle_reconstruct",

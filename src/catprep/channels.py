@@ -2,34 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
 
 from .fock import MixedState, TwoModeState, _as_density
-
-
-@dataclass
-class Efficiency:
-    """Transmission eta of a loss channel, in [0, 1]."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-
-
-@dataclass
-class PhaseJitter:
-    """RMS phase noise sigma in radians."""
-
-    sigma_rad: float
-
-    def __post_init__(self):
-        if self.sigma_rad < 0:
-            raise ValueError("sigma_rad must be nonnegative")
 
 
 def loss_kraus(eta: float, dim: int) -> list[np.ndarray]:

@@ -24,6 +24,7 @@ from .homodyne import Conditioning, condition, condition_tail
 from .rsp import (
     DEFAULT_TARGETS,
     TABLE1,
+    Table1Row,
     TargetSpec,
     bloch_embed,
     fidelity_vs_delta,
@@ -134,8 +135,23 @@ def _parse_grid(node, name: str) -> np.ndarray:
     return grid
 
 
+def _section(node: dict, key: str, default=None) -> dict:
+    """The object under key, or the default (an empty object) when absent."""
+    value = node.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: need an object")
+    return value
+
+
+def _float(node: dict, key: str, default: float) -> float:
+    try:
+        return float(node.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: need a number") from exc
+
+
 def _parse_resource(cfg: dict) -> ResourceParams:
-    node = cfg.get("resource", {})
+    node = _section(cfg, "resource")
     try:
         return ResourceParams(
             model=node.get("model", "experimental"),
@@ -161,6 +177,14 @@ def _parse_target(node, default_alpha: float) -> TargetSpec:
         raise ConfigError(f"target: {exc}") from exc
 
 
+def _parse_targets(cfg: dict, default_alpha: float) -> list[TargetSpec]:
+    if "targets" not in cfg:
+        return list(DEFAULT_TARGETS)
+    if not isinstance(cfg["targets"], list) or not cfg["targets"]:
+        raise ConfigError("targets: need a non-empty list of targets")
+    return [_parse_target(t, default_alpha) for t in cfg["targets"]]
+
+
 def _parse_dim(cfg: dict) -> int:
     dim = cfg.get("dim", 30)
     if not isinstance(dim, int) or dim < 4:
@@ -171,14 +195,9 @@ def _parse_dim(cfg: dict) -> int:
 def cmd_scan(cfg: dict, out_dir) -> int:
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg)
-    theta = float(cfg.get("theta_rad", 0.0))
+    theta = _float(cfg, "theta_rad", 0.0)
     q_grid = _parse_grid(cfg.get("q_grid_snu", {"start": -3.0, "stop": 3.0, "num": 121}), "q_grid_snu")
-    if "targets" in cfg:
-        if not cfg["targets"]:
-            raise ConfigError("targets: empty target list")
-        targets = [_parse_target(t, params.alpha) for t in cfg["targets"]]
-    else:
-        targets = list(DEFAULT_TARGETS)
+    targets = _parse_targets(cfg, params.alpha)
     eta_grid = _parse_grid(cfg.get("eta_grid", {"start": 0.5, "stop": 1.0, "num": 26}), "eta_grid")
     eta_scan = cfg.get(
         "eta_scan",
@@ -187,17 +206,17 @@ def cmd_scan(cfg: dict, out_dir) -> int:
             {"q_center_snu": 1.14, "target": {"kind": "coherent_plus"}},
         ],
     )
-    if not eta_scan:
-        raise ConfigError("eta_scan: empty")
+    if not isinstance(eta_scan, list) or not eta_scan or not all(isinstance(n, dict) for n in eta_scan):
+        raise ConfigError("eta_scan: need a non-empty list of objects")
     eta_points = [
-        (float(node.get("q_center_snu", 0.0)), _parse_target(node.get("target", {}), params.alpha))
+        (_float(node, "q_center_snu", 0.0), _parse_target(node.get("target", {}), params.alpha))
         for node in eta_scan
     ]
     delta_grid = _parse_grid(
         cfg.get("delta_grid_snu", {"start": 0.0, "stop": 0.5, "num": 26}), "delta_grid_snu"
     )
-    delta_scan = cfg.get("delta_scan", {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}})
-    delta_q = float(delta_scan.get("q_center_snu", 0.0))
+    delta_scan = _section(cfg, "delta_scan", {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}})
+    delta_q = _float(delta_scan, "q_center_snu", 0.0)
     delta_target = _parse_target(delta_scan.get("target", {}), params.alpha)
 
     resource = hybrid_entangled(params, dim_b=dim)
@@ -218,22 +237,19 @@ def cmd_scan(cfg: dict, out_dir) -> int:
     return EXIT_OK
 
 
-def _parse_conditioning(cfg: dict) -> tuple[Conditioning, bool]:
-    node = cfg.get("conditioning", {})
-    row_index = cfg.get("table1_row")
-    if row_index is not None:
-        try:
-            row = TABLE1[int(row_index) - 1]
-        except (IndexError, ValueError, TypeError) as exc:
-            raise ConfigError(f"table1_row must be 1..{len(TABLE1)}") from exc
-        tail = row.tail
-        cond = Conditioning(
-            theta_rad=row.theta_rad,
-            q_center=row.q_center,
-            delta=float(node.get("delta_snu", 0.2)),
-            eta_a=float(node.get("eta_a", 1.0)),
-        )
-        return cond, tail
+def _parse_row(cfg: dict) -> Table1Row | None:
+    index = cfg.get("table1_row")
+    if index is None:
+        return None
+    if isinstance(index, bool) or not isinstance(index, int) or not 1 <= index <= len(TABLE1):
+        raise ConfigError(f"table1_row must be an integer 1..{len(TABLE1)}")
+    return TABLE1[index - 1]
+
+
+def _parse_conditioning(cfg: dict, row: Table1Row | None) -> tuple[Conditioning, bool]:
+    node = _section(cfg, "conditioning")
+    if row is not None:  # a published row fixes everything but the width and the loss
+        node = {**node, "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
     try:
         cond = Conditioning(
             theta_rad=float(node.get("theta_rad", 0.0)),
@@ -249,21 +265,16 @@ def _parse_conditioning(cfg: dict) -> tuple[Conditioning, bool]:
 def cmd_prepare(cfg: dict, out_dir) -> int:
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg)
-    cond, tail = _parse_conditioning(cfg)
-    bloch_alpha = float(cfg.get("bloch_alpha", params.alpha))
-    wnode = cfg.get("wigner", {})
-    w_min = float(wnode.get("min_snu", -6.0))
-    w_max = float(wnode.get("max_snu", 6.0))
-    w_step = float(wnode.get("step_snu", 0.05))
+    row = _parse_row(cfg)
+    cond, tail = _parse_conditioning(cfg, row)
+    bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
+    wnode = _section(cfg, "wigner")
+    w_min = _float(wnode, "min_snu", -6.0)
+    w_max = _float(wnode, "max_snu", 6.0)
+    w_step = _float(wnode, "step_snu", 0.05)
     if not (w_min < w_max and w_step > 0):
         raise ConfigError("wigner: need min_snu < max_snu and step_snu > 0")
-    if "targets" in cfg:
-        if not cfg["targets"]:
-            raise ConfigError("targets: empty target list")
-        targets = [_parse_target(t, params.alpha) for t in cfg["targets"]]
-    else:
-        targets = list(DEFAULT_TARGETS)
-    row_index = cfg.get("table1_row")
+    targets = _parse_targets(cfg, params.alpha)
 
     resource = hybrid_entangled(params, dim_b=dim)
     if tail:
@@ -280,8 +291,8 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
             "fidelity_simulated": fidelity(prep.rho, target_state(spec, dim)),
             "fidelity_published": None,
         }
-        if row_index is not None and TABLE1[int(row_index) - 1].target.kind == spec.kind:
-            entry["fidelity_published"] = TABLE1[int(row_index) - 1].published_fidelity
+        if row is not None and row.target.kind == spec.kind:
+            entry["fidelity_published"] = row.published_fidelity
         fid_rows.append(entry)
 
     state_doc = {
@@ -343,13 +354,16 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
         raise ConfigError("tomo: need a 'truth' target")
     truth_spec = _parse_target(cfg["truth"], params.alpha)
     n_samples = cfg.get("n_samples", 50_000)
-    if not isinstance(n_samples, int) or n_samples < 1:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ConfigError("n_samples must be a positive integer")
-    eta = float(cfg.get("eta", 1.0))
+    eta = _float(cfg, "eta", 1.0)
     if not 0 < eta <= 1:
         raise ConfigError("eta must lie in (0, 1]")
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
-    tnode = cfg.get("tomo", {})
+    try:
+        seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("seed: need an integer") from exc
+    tnode = _section(cfg, "tomo")
     try:
         tomo_cfg = TomoConfig(
             dim_recon=int(tnode.get("dim_recon", 12)),

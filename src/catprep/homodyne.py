@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .channels import loss_on_mode_a
+from .channels import apply_kraus_adjoint, loss_kraus
 from .fock import MixedState, PureState, TwoModeState, _as_density
 
 Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q| = 10
+WINDOW_NODES = 21  # Gauss-Legendre nodes across an acceptance window
+TAIL_NODES = 160  # Gauss-Legendre nodes on each side of a two-sided tail
 
 
 def quad_wavefunctions(dim: int, q) -> np.ndarray:
@@ -53,11 +55,6 @@ def marginal_pdf(state, theta: float, q) -> np.ndarray:
     return np.real(np.einsum("mj,mn,nj->j", psi, m, psi))
 
 
-def marginal(state, theta: float):
-    """Return a vectorized callable q -> P_theta(q)."""
-    return lambda q: marginal_pdf(state, theta, q)
-
-
 @dataclass
 class Conditioning:
     """Acceptance settings of the heralding homodyne measurement.
@@ -84,7 +81,7 @@ class Conditioning:
 class PreparedState:
     """Result of the conditional preparation.
 
-    success_prob is the window-integrated acceptance probability; in the
+    success_prob is the probability of the accepted quadrature range; in the
     point-projection limit (delta = 0) it is a probability density times a
     unit reference width, flagged by success_is_density.
     """
@@ -92,50 +89,62 @@ class PreparedState:
     rho: MixedState
     success_prob: float
     success_is_density: bool
-    conditioning: Conditioning
 
 
-def _project_mode_a(r4: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """<q_theta| rho_AB |q_theta> on mode A; r4 is the (dA,dB,dA,dB) tensor."""
-    return np.einsum("a,abcd,c->bd", overlaps, r4, overlaps.conj())
-
-
-def _window_nodes(q_center: float, delta: float, n_nodes: int):
+def gauss_legendre(lo, hi, n_nodes: int):
+    """Nodes and weights of an n_nodes-point Gauss-Legendre rule on each
+    interval [lo, hi]. lo and hi broadcast; the results gain a trailing node
+    axis, so (n_intervals,) bounds give (n_intervals, n_nodes) arrays."""
     x, w = roots_legendre(n_nodes)
-    half = delta / 2
-    return q_center + half * x, half * w
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = (np.asarray(hi, dtype=float)[..., None] - lo) / 2
+    return lo + half * (x + 1), half * w
 
 
-def condition(resource: TwoModeState, c: Conditioning, n_nodes: int = 21) -> PreparedState:
+def acceptance_operator(dim: int, nodes, weights, theta: float, eta: float = 1.0) -> np.ndarray:
+    """Measurement operator of a lossy homodyne detector accepting a range of
+    quadrature values, E = Phi_eta^dag(sum_j w_j |q_j,theta><q_j,theta|).
+
+    Phi_eta is photon loss of transmission eta in front of an ideal detector;
+    its adjoint moves the loss into the operator. nodes and weights have
+    shape (..., n_nodes); the leading axes give a stack of operators of shape
+    (..., dim, dim).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    psi = quad_wavefunctions(dim, nodes.ravel()).T.reshape(*nodes.shape, dim)
+    ov = np.exp(1j * theta * np.arange(dim)) * psi  # <q_j,theta|n>
+    op = np.swapaxes(ov.conj() * np.asarray(weights)[..., None], -1, -2) @ ov
+    if eta != 1.0:
+        op = apply_kraus_adjoint(op, loss_kraus(eta, dim))
+    return op
+
+
+def _herald(resource: TwoModeState, nodes, weights, theta: float, eta_a: float,
+            density: bool) -> PreparedState:
+    """Mode B given that the lossy homodyne on mode A accepted the quadrature
+    nodes: rho_B proportional to Tr_A[(E x 1) rho_AB]."""
+    op = acceptance_operator(resource.dim_a, nodes, weights, theta, eta_a)
+    r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
+    raw = np.einsum("ca,abcd->bd", op, r4)
+    success = float(np.real(np.trace(raw)))
+    if success <= 0:
+        raise ValueError("acceptance region has zero probability")
+    rho = raw / success
+    return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success, density)
+
+
+def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
     """Condition mode B on a homodyne result of mode A inside the window.
 
     Loss eta_a acts on mode A first; the window integral uses Gauss-Legendre
     quadrature (exact at working precision for these smooth integrands).
     """
-    lossy = loss_on_mode_a(resource, c.eta_a)
-    r4 = lossy.mat.reshape(lossy.dim_a, lossy.dim_b, lossy.dim_a, lossy.dim_b)
-    dim_a = lossy.dim_a
-
     if c.delta == 0.0:
-        ov = quad_overlaps(dim_a, c.q_center, c.theta_rad)
-        raw = _project_mode_a(r4, ov)
-        density = True
+        nodes, weights = np.array([c.q_center]), np.ones(1)
     else:
-        nodes, weights = _window_nodes(c.q_center, c.delta, n_nodes)
-        raw = np.zeros((lossy.dim_b, lossy.dim_b), dtype=complex)
-        psi = quad_wavefunctions(dim_a, nodes)
-        phase = np.exp(1j * c.theta_rad * np.arange(dim_a))
-        for j, wj in enumerate(weights):
-            ov = phase * psi[:, j]
-            raw += wj * _project_mode_a(r4, ov)
-        density = False
-
-    success = float(np.real(np.trace(raw)))
-    if success <= 0:
-        raise ValueError("conditioning window has zero probability")
-    rho = raw / success
-    rho = 0.5 * (rho + rho.conj().T)
-    return PreparedState(MixedState(rho), success, density, c)
+        half = c.delta / 2
+        nodes, weights = gauss_legendre(c.q_center - half, c.q_center + half, WINDOW_NODES)
+    return _herald(resource, nodes, weights, c.theta_rad, c.eta_a, c.delta == 0.0)
 
 
 def condition_tail(
@@ -144,35 +153,13 @@ def condition_tail(
     q_min: float,
     eta_a: float = 1.0,
     q_max: float = Q_SUPPORT,
-    n_nodes: int = 160,
 ) -> PreparedState:
     """Two-sided tail acceptance |q| >= q_min (up to the numerical support
     bound q_max). Used for the high-|Q| even-cat preparation."""
     if not 0 <= q_min < q_max:
         raise ValueError("need 0 <= q_min < q_max")
-    lossy = loss_on_mode_a(resource, eta_a)
-    r4 = lossy.mat.reshape(lossy.dim_a, lossy.dim_b, lossy.dim_a, lossy.dim_b)
-    dim_a = lossy.dim_a
-
-    x, w = roots_legendre(n_nodes)
-    half = (q_max - q_min) / 2
-    nodes_pos = q_min + half * (x + 1)
-    weights = half * w
-    raw = np.zeros((lossy.dim_b, lossy.dim_b), dtype=complex)
-    phase = np.exp(1j * theta_rad * np.arange(dim_a))
-    for nodes in (nodes_pos, -nodes_pos):
-        psi = quad_wavefunctions(dim_a, nodes)
-        for j, wj in enumerate(weights):
-            ov = phase * psi[:, j]
-            raw += wj * _project_mode_a(r4, ov)
-
-    success = float(np.real(np.trace(raw)))
-    if success <= 0:
-        raise ValueError("tail acceptance has zero probability")
-    rho = raw / success
-    rho = 0.5 * (rho + rho.conj().T)
-    cond = Conditioning(theta_rad=theta_rad, q_center=q_min, delta=0.0, eta_a=eta_a)
-    return PreparedState(MixedState(rho), success, False, cond)
+    nodes, weights = gauss_legendre([q_min, -q_max], [q_max, -q_min], TAIL_NODES)
+    return _herald(resource, nodes.ravel(), weights.ravel(), theta_rad, eta_a, False)
 
 
 def closed_form_state(

@@ -5,8 +5,6 @@ in the cat basis, and target bookkeeping with published reference values.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +24,6 @@ TARGET_KINDS = (
     "phase_cat_minus",
     "custom",
 )
-
-THREADS_ENV = "CATPREP_THREADS"
 
 
 @dataclass
@@ -105,23 +101,6 @@ TABLE1 = (
 DEFAULT_TARGETS = tuple(row.target for row in TABLE1)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Map preserving order; threads only when the env override asks."""
-    n = _n_threads()
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def fidelity_vs_q(
     resource: TwoModeState,
     theta_rad: float,
@@ -135,19 +114,12 @@ def fidelity_vs_q(
     """
     dim = resource.dim_b
     states = [(t.kind, target_state(t, dim)) for t in targets]
-
-    def one(q: float):
-        c = Conditioning(theta_rad=theta_rad, q_center=q, delta=0.0, eta_a=eta_a)
-        rho = condition(resource, c).rho
-        return [
-            {"param": float(q), "target": label, "fidelity": fidelity(rho, tgt)}
-            for label, tgt in states
-        ]
-
-    rows = []
-    for chunk in _ordered_map(one, list(q_grid)):
-        rows.extend(chunk)
-    return rows
+    return [
+        {"param": float(q), "target": label, "fidelity": fidelity(rho, tgt)}
+        for q in q_grid
+        for rho in [condition(resource, Conditioning(theta_rad, q, 0.0, eta_a)).rho]
+        for label, tgt in states
+    ]
 
 
 def fidelity_vs_eta(
@@ -159,13 +131,11 @@ def fidelity_vs_eta(
 ) -> list[dict]:
     """Point-conditioned fidelity as the heralding-path efficiency varies."""
     tgt = target_state(target, resource.dim_b)
-
-    def one(eta: float):
-        c = Conditioning(theta_rad=theta_rad, q_center=q, delta=0.0, eta_a=eta)
-        rho = condition(resource, c).rho
-        return {"param": float(eta), "target": target.kind, "fidelity": fidelity(rho, tgt)}
-
-    return _ordered_map(one, list(eta_grid))
+    return [
+        {"param": float(eta), "target": target.kind,
+         "fidelity": fidelity(condition(resource, Conditioning(theta_rad, q, 0.0, eta)).rho, tgt)}
+        for eta in eta_grid
+    ]
 
 
 def fidelity_vs_delta(
@@ -177,13 +147,11 @@ def fidelity_vs_delta(
 ) -> list[dict]:
     """Window-conditioned fidelity as the acceptance width varies."""
     tgt = target_state(target, resource.dim_b)
-
-    def one(delta: float):
-        c = Conditioning(theta_rad=theta_rad, q_center=q, delta=delta, eta_a=1.0)
-        rho = condition(resource, c).rho
-        return {"param": float(delta), "target": target.kind, "fidelity": fidelity(rho, tgt)}
-
-    return _ordered_map(one, list(delta_grid))
+    return [
+        {"param": float(delta), "target": target.kind,
+         "fidelity": fidelity(condition(resource, Conditioning(theta_rad, q, delta, 1.0)).rho, tgt)}
+        for delta in delta_grid
+    ]
 
 
 def fit_power_law(deltas, drops) -> tuple[float, float]:

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import roots_legendre
 
-from .channels import apply_kraus_adjoint, loss_channel, loss_kraus
+from .channels import loss_channel
 from .fock import MixedState, _as_density
-from .homodyne import marginal_pdf, quad_wavefunctions
+from .homodyne import acceptance_operator, gauss_legendre, marginal_pdf
 
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
 P_FLOOR = 1e-15  # probability floor inside the iteration only
@@ -125,45 +124,24 @@ def read_records(path):
 def build_povm(cfg: TomoConfig) -> np.ndarray:
     """POVM elements, shape (n_phases * (n_bins + 1), dim, dim).
 
-    Per phase: n_bins window-integrated quadrature projectors (3-node
-    Gauss-Legendre each) plus one overflow element defined by completeness
-    BEFORE the adjoint loss push, so the pushed set still sums to the
-    identity exactly (the adjoint of a trace-preserving channel is unital).
+    Per phase: n_bins window-integrated quadrature operators (3-node
+    Gauss-Legendre each, detection loss folded in through the adjoint) plus
+    one overflow element defined by completeness. The adjoint of a
+    trace-preserving channel is unital, so the overflow element is the
+    adjoint image of the lossless one and the set sums to the identity.
     """
     dim = cfg.dim_recon
     n_phases = len(cfg.phase_set)
     edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
-    gl_x, gl_w = roots_legendre(3)
+    nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
+    weights /= n_phases
 
-    kraus = None
-    if cfg.eta_correction < 1:
-        kraus = loss_kraus(cfg.eta_correction, dim)
-
-    elements = np.empty((n_phases * (cfg.n_bins + 1), dim, dim), dtype=complex)
-    ns = np.arange(dim)
-    pos = 0
-    for theta in cfg.phase_set:
-        phase = np.exp(1j * theta * ns)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for b in range(cfg.n_bins):
-            lo, hi = edges[b], edges[b + 1]
-            nodes = (lo + hi) / 2 + (hi - lo) / 2 * gl_x
-            weights = (hi - lo) / 2 * gl_w
-            psi = quad_wavefunctions(dim, nodes)
-            pi = np.zeros((dim, dim), dtype=complex)
-            for j, wj in enumerate(weights):
-                o = phase * psi[:, j]
-                pi += wj * np.outer(o.conj(), o)
-            pi /= n_phases
-            elements[pos + b] = pi
-            acc += pi
-        elements[pos + cfg.n_bins] = np.eye(dim) / n_phases - acc
-        pos += cfg.n_bins + 1
-
-    if kraus is not None:
-        for j in range(elements.shape[0]):
-            elements[j] = apply_kraus_adjoint(elements[j], kraus)
-    return elements
+    elements = np.empty((n_phases, cfg.n_bins + 1, dim, dim), dtype=complex)
+    for k, theta in enumerate(cfg.phase_set):
+        bins = acceptance_operator(dim, nodes, weights, theta, cfg.eta_correction)
+        elements[k, :-1] = bins
+        elements[k, -1] = np.eye(dim) / n_phases - bins.sum(axis=0)
+    return elements.reshape(-1, dim, dim)
 
 
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:

@@ -9,7 +9,6 @@ W(0, 0) = Tr[rho (-1)^n] / (2 pi).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ CONVENTION_TAG = "snu-x2-norm1"  # X = a + a†, integral of W = 1
 
 GRID_MIN = -6.0
 GRID_MAX = 6.0
-GRID_STEP = 0.05  # covers all states with <n> < 2 to 1e-10 mass
+GRID_STEP = 0.05  # the +-6 box misses 0.8e-4 to 4.3e-4 of the mass of the Table 1 states
 
 COEF_CUTOFF = 1e-18  # skip Laguerre evaluation for negligible matrix elements
 
@@ -135,8 +134,3 @@ def grid_metadata(grid: WignerGrid, dim: int, descriptor: str) -> dict:
         "n_p": int(grid.ps.size),
     }
 
-
-def write_grid_metadata(grid: WignerGrid, dim: int, descriptor: str, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(grid_metadata(grid, dim, descriptor), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from catprep.channels import (
-    Efficiency,
-    PhaseJitter,
     apply_kraus,
     apply_kraus_adjoint,
     loss_channel,
@@ -23,17 +21,17 @@ def random_density(dim, seed):
 
 
 def test_efficiency_validation():
-    Efficiency(0.85)
+    loss_kraus(0.85, 4)
     with pytest.raises(ValueError):
-        Efficiency(1.2)
+        loss_kraus(1.2, 4)
     with pytest.raises(ValueError):
-        Efficiency(-0.1)
+        loss_kraus(-0.1, 4)
 
 
 def test_phase_jitter_validation():
-    PhaseJitter(0.05)
+    phase_jitter(basis_state(1, 4), 0.05)
     with pytest.raises(ValueError):
-        PhaseJitter(-0.01)
+        phase_jitter(basis_state(1, 4), -0.01)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])

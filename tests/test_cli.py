@@ -235,3 +235,25 @@ def test_tomo_config_errors(tmp_path):
     assert run(["tomo", "--config", cfg2, "--out", tmp_path / "o2"]) == EXIT_CONFIG
     cfg3 = write_config(tmp_path, "t3.json", {**TOMO_DOC, "eta": 1.5})
     assert run(["tomo", "--config", cfg3, "--out", tmp_path / "o3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("prepare", {**PREP_DOC, "table1_row": 2, "conditioning": {"delta_snu": "wide"}}),
+        ("prepare", {**PREP_DOC, "table1_row": 0}),
+        ("prepare", {**PREP_DOC, "table1_row": -1}),
+        ("prepare", {**PREP_DOC, "table1_row": True}),
+        ("scan", {**SCAN_DOC, "delta_scan": 5}),
+        ("scan", {**SCAN_DOC, "eta_scan": [5]}),
+        ("scan", {**SCAN_DOC, "targets": 5}),
+        ("tomo", {**TOMO_DOC, "n_samples": True}),
+        ("tomo", {**TOMO_DOC, "seed": "abc"}),
+    ],
+    ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
+         "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text"],
+)
+def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err

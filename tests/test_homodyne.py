@@ -230,11 +230,20 @@ def test_conditioned_state_is_physical():
     assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
-def test_loss_commutes_to_reduced_picture():
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.2, eta_a=eta)),
+        lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.0, eta_a=eta)),
+        lambda res, eta: condition_tail(res, 0.0, 2.0, eta_a=eta),
+    ],
+    ids=["window", "point", "tail"],
+)
+def test_loss_commutes_to_reduced_picture(prepare):
     # conditioning after loss on A equals conditioning the lossy joint state
     res = hybrid_entangled(ResourceParams(), dim_b=25)
     lossy = loss_on_mode_a(res, 0.6)
-    direct = condition(res, Conditioning(q_center=0.5, delta=0.2, eta_a=0.6))
-    explicit = condition(lossy, Conditioning(q_center=0.5, delta=0.2, eta_a=1.0))
+    direct = prepare(res, 0.6)
+    explicit = prepare(lossy, 1.0)
     assert np.allclose(direct.rho.mat, explicit.rho.mat, atol=1e-12)
     assert np.isclose(direct.success_prob, explicit.success_prob, atol=1e-14)

@@ -231,14 +231,3 @@ def test_prepare_row_fidelity_sanity():
         prep = prepare_row(res, row)
         f = fidelity(prep.rho, target_state(row.target, res.dim_b))
         assert row.published_fidelity - 0.03 <= f <= 1.0
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    res = experimental_resource(30)
-    qs = list(np.linspace(-2, 2, 9))
-    targets = [TargetSpec("cat_minus"), TargetSpec("coherent_plus")]
-    monkeypatch.delenv("CATPREP_THREADS", raising=False)
-    serial = fidelity_vs_q(res, 0.0, qs, targets)
-    monkeypatch.setenv("CATPREP_THREADS", "4")
-    threaded = fidelity_vs_q(res, 0.0, qs, targets)
-    assert serial == threaded

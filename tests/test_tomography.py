@@ -138,13 +138,14 @@ def test_povm_probabilities_match_marginal_integral():
             assert np.isclose(probs[k * stride + b], want, atol=1e-7)
 
 
-def test_povm_duality_with_loss_channel():
+@pytest.mark.parametrize("dim", [8, 12])
+def test_povm_duality_with_loss_channel(dim):
     # Tr[Pi_corrected rho] = Tr[Pi loss(rho)] for every element
     from catprep.channels import loss_channel
 
-    cfg0 = TomoConfig(dim_recon=8, bin_width=1.0, phase_set=(0.0, 1.1))
-    cfg = TomoConfig(dim_recon=8, bin_width=1.0, phase_set=(0.0, 1.1), eta_correction=0.85)
-    rho = random_density(8, seed=5)
+    cfg0 = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1))
+    cfg = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1), eta_correction=0.85)
+    rho = random_density(dim, seed=5)
     lossy = loss_channel(MixedState(rho), 0.85).mat
     p_corr = np.einsum("jab,ba->j", build_povm(cfg), rho).real
     p_plain = np.einsum("jab,ba->j", build_povm(cfg0), lossy).real
