@@ -14,7 +14,7 @@ assume well-formed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,20 +69,18 @@ class MixedState:
     """
 
     mat: np.ndarray
-    _validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("MixedState matrix must be square")
-        if self._validate:
-            if np.max(np.abs(self.mat - self.mat.conj().T)) > HERM_TOL:
-                raise ValueError("MixedState matrix is not Hermitian")
-            tr = np.trace(self.mat).real
-            if abs(tr - 1.0) > HERM_TOL:
-                raise ValueError(f"MixedState trace is {tr}, expected 1")
-            if np.linalg.eigvalsh(self.mat).min() < -EIG_TOL:
-                raise ValueError("MixedState matrix is not positive semidefinite")
+        if np.max(np.abs(self.mat - self.mat.conj().T)) > HERM_TOL:
+            raise ValueError("MixedState matrix is not Hermitian")
+        tr = np.trace(self.mat).real
+        if abs(tr - 1.0) > HERM_TOL:
+            raise ValueError(f"MixedState trace is {tr}, expected 1")
+        if np.linalg.eigvalsh(self.mat).min() < -EIG_TOL:
+            raise ValueError("MixedState matrix is not positive semidefinite")
 
     @property
     def dim(self) -> int:

@@ -22,6 +22,7 @@ from .fock import MixedState, PureState, TwoModeState, _as_density
 Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q| = 10
 WINDOW_NODES = 21  # Gauss-Legendre nodes across an acceptance window
 TAIL_NODES = 160  # Gauss-Legendre nodes on each side of a two-sided tail
+MIN_SUCCESS = np.finfo(float).tiny  # smaller acceptance probabilities overflow when divided by
 
 
 def quad_wavefunctions(dim: int, q) -> np.ndarray:
@@ -119,32 +120,34 @@ def acceptance_operator(dim: int, nodes, weights, theta: float, eta: float = 1.0
     return op
 
 
-def _herald(resource: TwoModeState, nodes, weights, theta: float, eta_a: float,
-            density: bool) -> PreparedState:
-    """Mode B given that the lossy homodyne on mode A accepted the quadrature
-    nodes: rho_B proportional to Tr_A[(E x 1) rho_AB]."""
-    op = acceptance_operator(resource.dim_a, nodes, weights, theta, eta_a)
+def conditioning_operator(dim: int, c: Conditioning) -> np.ndarray:
+    """Acceptance operator of a heralding setting with its loss eta_a: point
+    projection at delta = 0, else a WINDOW_NODES-point Gauss-Legendre window
+    (exact at working precision for these smooth integrands)."""
+    if c.delta == 0.0:
+        nodes, weights = np.array([c.q_center]), np.ones(1)
+    else:
+        nodes, weights = gauss_legendre(-c.delta / 2, c.delta / 2, WINDOW_NODES)
+        nodes = nodes + c.q_center  # centered, so no width is lost to rounding at q_center
+    return acceptance_operator(dim, nodes, weights, c.theta_rad, c.eta_a)
+
+
+def _herald(resource: TwoModeState, op: np.ndarray, density: bool) -> PreparedState:
+    """Mode B given that the homodyne on mode A with acceptance operator op
+    fired: rho_B proportional to Tr_A[(op x 1) rho_AB]."""
     r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
     raw = np.einsum("ca,abcd->bd", op, r4)
     success = float(np.real(np.trace(raw)))
-    if success <= 0:
+    if not success >= MIN_SUCCESS:  # NaN fails too
         raise ValueError("acceptance region has zero probability")
     rho = raw / success
     return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success, density)
 
 
 def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
-    """Condition mode B on a homodyne result of mode A inside the window.
-
-    Loss eta_a acts on mode A first; the window integral uses Gauss-Legendre
-    quadrature (exact at working precision for these smooth integrands).
-    """
-    if c.delta == 0.0:
-        nodes, weights = np.array([c.q_center]), np.ones(1)
-    else:
-        half = c.delta / 2
-        nodes, weights = gauss_legendre(c.q_center - half, c.q_center + half, WINDOW_NODES)
-    return _herald(resource, nodes, weights, c.theta_rad, c.eta_a, c.delta == 0.0)
+    """Condition mode B on a homodyne result of mode A inside the window;
+    loss eta_a acts on mode A first."""
+    return _herald(resource, conditioning_operator(resource.dim_a, c), c.delta == 0.0)
 
 
 def condition_tail(
@@ -159,7 +162,8 @@ def condition_tail(
     if not 0 <= q_min < q_max:
         raise ValueError("need 0 <= q_min < q_max")
     nodes, weights = gauss_legendre([q_min, -q_max], [q_max, -q_min], TAIL_NODES)
-    return _herald(resource, nodes.ravel(), weights.ravel(), theta_rad, eta_a, False)
+    op = acceptance_operator(resource.dim_a, nodes.ravel(), weights.ravel(), theta_rad, eta_a)
+    return _herald(resource, op, False)
 
 
 def closed_form_state(

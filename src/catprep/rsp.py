@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MixedState, PureState, TwoModeState, _as_density, fidelity, purity
-from .homodyne import Conditioning, condition, condition_tail
+from .fock import EIG_TOL, PureState, TwoModeState, _as_density, purity
+from .homodyne import MIN_SUCCESS, Conditioning, condition, condition_tail, conditioning_operator
 from .states import cat, coherent
 
 BASE_HERALD_RATE_HZ = 200_000.0  # entanglement heralding rate of the source
@@ -101,6 +101,29 @@ TABLE1 = (
 DEFAULT_TARGETS = tuple(row.target for row in TABLE1)
 
 
+def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
+    """Rows (param, target, fidelity) of the states heralded by the acceptance
+    operators ops, one per grid value, from the mode-B blocks rho_B^{ac} of
+    the resource: F = Re sum E_ca <t|rho_B^{ac}|t> / Re sum E_ca Tr rho_B^{ac}.
+    The map E -> Tr_A[(E x 1) rho_AB] is completely positive, so a PSD
+    resource and PSD operators stand in for a check of every heralded state."""
+    if len(grid) == 0:
+        return []
+    ops = np.stack(ops)
+    lowest = np.minimum(np.linalg.eigvalsh(resource.mat).min(), np.linalg.eigvalsh(ops).min())
+    if not lowest >= -EIG_TOL:  # NaN fails too
+        raise ValueError("resource or acceptance operator is not positive semidefinite")
+    r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
+    t = np.stack([target_state(spec, resource.dim_b).amps for spec in targets])
+    overlaps = np.einsum("kb,abcd,kd->kac", t.conj(), r4, t)
+    success = np.einsum("nca,ac->n", ops, np.einsum("abcb->ac", r4)).real
+    if not np.all(success >= MIN_SUCCESS):  # NaN fails too
+        raise ValueError("acceptance region has zero probability")
+    fids = np.clip(np.einsum("nca,kac->nk", ops, overlaps).real / success[:, None], 0.0, 1.0)
+    return [{"param": float(x), "target": spec.kind, "fidelity": float(f)}
+            for x, row in zip(grid, fids) for spec, f in zip(targets, row)]
+
+
 def fidelity_vs_q(
     resource: TwoModeState,
     theta_rad: float,
@@ -112,14 +135,9 @@ def fidelity_vs_q(
 
     Rows carry keys param, target, fidelity with param the quadrature value.
     """
-    dim = resource.dim_b
-    states = [(t.kind, target_state(t, dim)) for t in targets]
-    return [
-        {"param": float(q), "target": label, "fidelity": fidelity(rho, tgt)}
-        for q in q_grid
-        for rho in [condition(resource, Conditioning(theta_rad, q, 0.0, eta_a)).rho]
-        for label, tgt in states
-    ]
+    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0, eta_a))
+           for q in q_grid]
+    return _scan(resource, q_grid, ops, targets)
 
 
 def fidelity_vs_eta(
@@ -130,12 +148,9 @@ def fidelity_vs_eta(
     target: TargetSpec,
 ) -> list[dict]:
     """Point-conditioned fidelity as the heralding-path efficiency varies."""
-    tgt = target_state(target, resource.dim_b)
-    return [
-        {"param": float(eta), "target": target.kind,
-         "fidelity": fidelity(condition(resource, Conditioning(theta_rad, q, 0.0, eta)).rho, tgt)}
-        for eta in eta_grid
-    ]
+    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0, eta))
+           for eta in eta_grid]
+    return _scan(resource, eta_grid, ops, [target])
 
 
 def fidelity_vs_delta(
@@ -146,12 +161,9 @@ def fidelity_vs_delta(
     target: TargetSpec,
 ) -> list[dict]:
     """Window-conditioned fidelity as the acceptance width varies."""
-    tgt = target_state(target, resource.dim_b)
-    return [
-        {"param": float(delta), "target": target.kind,
-         "fidelity": fidelity(condition(resource, Conditioning(theta_rad, q, delta, 1.0)).rho, tgt)}
-        for delta in delta_grid
-    ]
+    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, delta, 1.0))
+           for delta in delta_grid]
+    return _scan(resource, delta_grid, ops, [target])
 
 
 def fit_power_law(deltas, drops) -> tuple[float, float]:
@@ -193,50 +205,24 @@ def _qubit_overlap_matrix(rho: np.ndarray, alpha: float) -> np.ndarray:
     return basis.conj() @ rho @ basis.T
 
 
-def _family_fidelity(m: np.ndarray, phi, varphi):
-    c = np.cos(phi / 2)
-    s = np.sin(phi / 2)
-    cross = (m[0, 1] * np.exp(-1j * varphi)).real
-    return c**2 * m[0, 0].real + s**2 * m[1, 1].real + 2 * c * s * cross
-
-
-def bloch_embed(state, alpha: float, tol: float = 1e-6) -> BlochCoords:
+def bloch_embed(state, alpha: float) -> BlochCoords:
     """Maximize fidelity over the cat-basis qubit family.
 
-    Coarse 64 x 128 grid over (polar, azimuth), then a shrinking local grid
-    search to the angular tolerance. The subspace weight reports how much of
-    the state lies in span{Cat+, Cat-} so leakage is visible.
+    The family is every pure state in span{Cat+, Cat-}, so the best fidelity
+    is the top eigenvalue of the 2 x 2 overlap matrix; its eigenvector
+    (v0, v1) gives phi = 2 atan2(|v1|, |v0|) and varphi = -arg(v1 / v0), or 0
+    at a pole (a component below 1e-12). The subspace weight reports how much
+    of the state lies in span{Cat+, Cat-} so leakage is visible.
     """
-    rho = _as_density(state)
-    m = _qubit_overlap_matrix(rho, alpha)
-
-    phis = np.linspace(0, np.pi, 64)
-    varphis = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-    pg, vg = np.meshgrid(phis, varphis, indexing="ij")
-    vals = _family_fidelity(m, pg, vg)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    best_phi, best_varphi = pg[i, j], vg[i, j]
-    best_val = vals[i, j]
-
-    half_phi = phis[1] - phis[0]
-    half_varphi = varphis[1] - varphis[0]
-    while max(half_phi, half_varphi) > tol:
-        local_p = np.clip(best_phi + np.linspace(-half_phi, half_phi, 5), 0, np.pi)
-        local_v = best_varphi + np.linspace(-half_varphi, half_varphi, 5)
-        pg, vg = np.meshgrid(local_p, local_v, indexing="ij")
-        vals = _family_fidelity(m, pg, vg)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        best_phi, best_varphi = pg[i, j], vg[i, j]
-        best_val = vals[i, j]
-        half_phi *= 0.5
-        half_varphi *= 0.5
-
-    d = float(np.sqrt(max(2 * purity(MixedState(rho, _validate=False)) - 1, 0.0)))
+    m = _qubit_overlap_matrix(_as_density(state), alpha)
+    vals, vecs = np.linalg.eigh(m)
+    v0, v1 = vecs[:, -1]
+    at_pole = min(abs(v0), abs(v1)) < 1e-12
     return BlochCoords(
-        phi_polar=float(best_phi),
-        varphi_azimuth=float(best_varphi % (2 * np.pi)),
-        d=d,
-        max_fidelity=float(best_val),
+        phi_polar=float(2 * np.arctan2(abs(v1), abs(v0))),
+        varphi_azimuth=0.0 if at_pole else float(-np.angle(v1 / v0) % (2 * np.pi)),
+        d=float(np.sqrt(max(2 * purity(state) - 1, 0.0))),
+        max_fidelity=float(vals[-1]),
         subspace_weight=float(m[0, 0].real + m[1, 1].real),
     )
 

@@ -22,7 +22,7 @@ from .homodyne import acceptance_operator, gauss_legendre, marginal_pdf
 
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
 P_FLOOR = 1e-15  # probability floor inside the iteration only
-LL_SLACK = 1e-9  # relative slack for the monotonicity assertion
+LL_SLACK = 1e-9  # relative slack for the monotonicity check
 
 
 def default_phase_set(n_phases: int = 12) -> tuple[float, ...]:
@@ -191,8 +191,8 @@ def log_likelihood(state, records, cfg: TomoConfig) -> float:
 
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     """Iterate rho <- R rho R, R = sum_j (f_j / p_j) Pi_j over populated bins,
-    from the maximally mixed seed. The likelihood is asserted nondecreasing
-    every iteration; stops on gain < tol or max_iters."""
+    from the maximally mixed seed. A likelihood that falls in any iteration
+    raises ValueError; stops on gain < tol or max_iters."""
     if len(records) == 0:
         raise ValueError("records must be non-empty")
     counts = bin_records(records, cfg)
@@ -218,7 +218,8 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
         rho /= np.trace(rho).real
         probs = np.einsum("jab,ba->j", pi_act, rho).real
         new_ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
-        assert new_ll >= ll - LL_SLACK * abs(ll), "likelihood decreased"
+        if not new_ll >= ll - LL_SLACK * abs(ll):  # NaN fails too
+            raise ValueError("likelihood decreased")
         gain = new_ll - ll
         ll = new_ll
         if gain < cfg.tol:

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from catprep import tomography
 from catprep.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -12,6 +14,7 @@ from catprep.cli import (
     main,
     write_json,
 )
+from catprep.states import cat
 
 
 def write_config(tmp_path, name, doc):
@@ -249,11 +252,33 @@ def test_tomo_config_errors(tmp_path):
         ("scan", {**SCAN_DOC, "targets": 5}),
         ("tomo", {**TOMO_DOC, "n_samples": True}),
         ("tomo", {**TOMO_DOC, "seed": "abc"}),
+        ("tomo", {**TOMO_DOC, "seed": 5.7}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "dim_recon": 6.9}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "n_phases": 4.5}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 20.9}}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 3.7}}),
+        ("scan", {**SCAN_DOC, "eta_grid": [0.5, 1.2]}),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [-0.1, 0.1]}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
-         "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text"],
+         "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
+         "seed_fraction", "dim_recon_fraction", "n_phases_fraction", "max_iters_fraction",
+         "grid_num_fraction", "eta_above_one", "delta_negative"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())  # refused before any output
+
+
+def test_falling_likelihood_is_a_numerical_failure(tmp_path, monkeypatch):
+    # an explicit raise, not an assert that python -O would strip
+    falling = itertools.count()
+    monkeypatch.setattr(tomography, "_frequencies_ll", lambda freqs, probs: -float(next(falling)))
+    cfg = tomography.TomoConfig(dim_recon=8, phase_set=tomography.default_phase_set(6))
+    records = tomography.sample_homodyne(cat(0.7, "odd", 20), cfg.phase_set, 2000, seed=5)
+    with pytest.raises(ValueError, match="likelihood decreased"):  # not an AssertionError
+        tomography.mle_reconstruct(records, cfg)
+    cfg_path = write_config(tmp_path, "tomo.json", TOMO_DOC)
+    assert run(["tomo", "--config", cfg_path, "--out", tmp_path / "o"]) == EXIT_NUMERICAL

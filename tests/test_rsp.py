@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catprep.fock import MixedState, fidelity
+from catprep.fock import MixedState, TwoModeState, fidelity
 from catprep.homodyne import Conditioning, condition, condition_tail
 from catprep.rsp import (
     TABLE1,
@@ -127,6 +129,76 @@ def test_delta_scan_consistency():
     assert fids[0] > fids[1] > fids[2]
 
 
+SCAN_DIM_B = 16
+SCAN_RESOURCES = {
+    2: experimental_resource(SCAN_DIM_B),
+    3: TwoModeState(random_density(3 * SCAN_DIM_B, 7), 3, SCAN_DIM_B),
+}
+
+
+@pytest.mark.parametrize("dim_a", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    q=st.floats(-3.0, 3.0),
+    eta=st.floats(0.3, 1.0),
+    delta=st.floats(0.0, 0.5),
+)
+def test_scans_match_conditioned_states(dim_a, theta, q, eta, delta):
+    # condition() builds each heralded state; the scans never do
+    res = SCAN_RESOURCES[dim_a]
+    specs = [TargetSpec("cat_minus"), TargetSpec("coherent_plus"), TargetSpec("phase_cat_plus")]
+
+    def reference(c, spec):
+        return fidelity(condition(res, c).rho, target_state(spec, SCAN_DIM_B))
+
+    def check(rows, want):
+        assert np.allclose([r["fidelity"] for r in rows], want, rtol=0, atol=1e-12)
+
+    check(fidelity_vs_q(res, theta, [q, -q], specs, eta_a=eta),
+          [reference(Conditioning(theta, x, 0.0, eta), s) for x in (q, -q) for s in specs])
+    check(fidelity_vs_eta(res, q, theta, [eta, 1.0], specs[0]),
+          [reference(Conditioning(theta, q, 0.0, e), specs[0]) for e in (eta, 1.0)])
+    try:
+        want = [reference(Conditioning(theta, q, d, 1.0), specs[2]) for d in (0.0, delta)]
+    except ValueError:  # a window so narrow that its probability is not a normal double
+        with pytest.raises(ValueError, match="zero probability"):
+            fidelity_vs_delta(res, q, theta, [0.0, delta], specs[2])
+        return
+    check(fidelity_vs_delta(res, q, theta, [0.0, delta], specs[2]), want)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda res: fidelity_vs_q(res, 0.0, [0.0, 0.5], [TargetSpec("cat_minus")]),
+        lambda res: fidelity_vs_eta(res, 0.5, 0.0, [0.8, 1.0], TargetSpec("cat_minus")),
+        lambda res: fidelity_vs_delta(res, 0.5, 0.0, [0.0, 0.2], TargetSpec("cat_minus")),
+    ],
+    ids=["q", "eta", "delta"],
+)
+def test_scans_reject_non_psd_resource(scan):
+    # Hermitian and unit trace, but every state it heralds is the non-PSD sigma
+    sigma = np.diag([1.2, -0.2] + [0.0] * 8)
+    res = TwoModeState(np.kron(np.diag([1.0, 0.0]), sigma), 2, 10)
+    with pytest.raises(ValueError):
+        scan(res)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda res: fidelity_vs_q(res, 0.0, [0.0, np.nan], [TargetSpec("cat_minus")]),
+        lambda res: fidelity_vs_eta(res, 0.5, 0.0, [np.nan, 1.0], TargetSpec("cat_minus")),
+        lambda res: fidelity_vs_delta(res, 0.5, 0.0, [0.0, np.nan], TargetSpec("cat_minus")),
+    ],
+    ids=["q", "eta", "delta"],
+)
+def test_scans_reject_nan_settings(scan):
+    with pytest.raises(ValueError):
+        scan(experimental_resource(10))
+
+
 def test_fit_power_law_recovers_exponent():
     deltas = np.linspace(0.05, 0.5, 10)
     drops = 0.08 * deltas**2
@@ -158,11 +230,13 @@ def test_bloch_embed_poles():
     top = bloch_embed(cat(0.7, "even", dim), 0.7)
     assert isinstance(top, BlochCoords)
     assert top.phi_polar < 1e-3
+    assert top.varphi_azimuth == 0.0
     assert np.isclose(top.max_fidelity, 1.0, atol=1e-9)
     assert np.isclose(top.d, 1.0, atol=1e-9)
     assert np.isclose(top.subspace_weight, 1.0, atol=1e-9)
     bottom = bloch_embed(cat(0.7, "odd", dim), 0.7)
     assert np.isclose(bottom.phi_polar, np.pi, atol=1e-3)
+    assert bottom.varphi_azimuth == 0.0
 
 
 def test_bloch_embed_equator_azimuth():
@@ -191,6 +265,12 @@ def test_bloch_embed_matches_eigenvalue_oracle():
         m = basis.conj() @ rho @ basis.T
         lam = np.linalg.eigvalsh(m).max()
         assert np.isclose(coords.max_fidelity, lam, atol=1e-6)
+        # the returned angles reach that fidelity within the family
+        # cos(phi/2)|Cat+> + e^{-i varphi} sin(phi/2)|Cat->
+        c, s = np.cos(coords.phi_polar / 2), np.sin(coords.phi_polar / 2)
+        cross = (m[0, 1] * np.exp(-1j * coords.varphi_azimuth)).real
+        family = c**2 * m[0, 0].real + s**2 * m[1, 1].real + 2 * c * s * cross
+        assert np.isclose(family, coords.max_fidelity, rtol=0, atol=1e-12)
 
 
 def test_conditioned_azimuth_tracks_phase():
