@@ -54,7 +54,6 @@ from .states import (
     squeezing_parameter,
 )
 from .tomography import (
-    HomodyneRecord,
     ReconResult,
     TomoConfig,
     log_likelihood,
@@ -69,7 +68,6 @@ __all__ = [
     "BASE_HERALD_RATE_HZ",
     "BlochCoords",
     "Conditioning",
-    "HomodyneRecord",
     "MixedState",
     "PreparedState",
     "PureState",

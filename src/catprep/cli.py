@@ -130,6 +130,8 @@ def _parse_grid(node, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: need start/stop/num or a list")
     if grid.size == 0:
         raise ConfigError(f"{name}: grid is empty")
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"{name}: grid values must be finite")
     if np.any(np.diff(grid) < 0):
         raise ConfigError(f"{name}: grid must be sorted ascending")
     return grid
@@ -152,10 +154,14 @@ def _int(node: dict, key: str, default: int | None) -> int:
 
 
 def _float(node: dict, key: str, default: float) -> float:
+    """A finite number; JSON's NaN and Infinity are refused."""
     try:
-        return float(node.get(key, default))
+        value = float(node.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: need a number") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: need a finite number")
+    return value
 
 
 def _parse_resource(cfg: dict) -> ResourceParams:
@@ -163,9 +169,9 @@ def _parse_resource(cfg: dict) -> ResourceParams:
     try:
         return ResourceParams(
             model=node.get("model", "experimental"),
-            alpha=float(node.get("alpha", 0.7)),
-            squeezing_db=float(node.get("squeezing_db", 3.0)),
-            weight_dv=float(node.get("weight_dv", 0.5)),
+            alpha=_float(node, "alpha", 0.7),
+            squeezing_db=_float(node, "squeezing_db", 3.0),
+            weight_dv=_float(node, "weight_dv", 0.5),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"resource: {exc}") from exc
@@ -177,7 +183,7 @@ def _parse_target(node, default_alpha: float) -> TargetSpec:
     try:
         return TargetSpec(
             kind=node["kind"],
-            alpha=float(node.get("alpha", default_alpha)),
+            alpha=_float(node, "alpha", default_alpha),
             c_plus=complex(*node["c_plus"]) if "c_plus" in node else 0j,
             c_minus=complex(*node["c_minus"]) if "c_minus" in node else 0j,
         )
@@ -264,10 +270,10 @@ def _parse_conditioning(cfg: dict, row: Table1Row | None) -> tuple[Conditioning,
         node = {**node, "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
     try:
         cond = Conditioning(
-            theta_rad=float(node.get("theta_rad", 0.0)),
-            q_center=float(node.get("q_center_snu", 0.0)),
-            delta=float(node.get("delta_snu", 0.2)),
-            eta_a=float(node.get("eta_a", 1.0)),
+            theta_rad=_float(node, "theta_rad", 0.0),
+            q_center=_float(node, "q_center_snu", 0.0),
+            delta=_float(node, "delta_snu", 0.2),
+            eta_a=_float(node, "eta_a", 1.0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"conditioning: {exc}") from exc
@@ -372,16 +378,18 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     if not 0 < eta <= 1:
         raise ConfigError("eta must lie in (0, 1]")
     seed = _int(cfg, "seed", 0) if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     tnode = _section(cfg, "tomo")
     try:
         tomo_cfg = TomoConfig(
             dim_recon=_int(tnode, "dim_recon", 12),
-            eta_correction=float(tnode.get("eta_correction", eta)),
-            bin_width=float(tnode.get("bin_width_snu", 0.1)),
+            eta_correction=_float(tnode, "eta_correction", eta),
+            bin_width=_float(tnode, "bin_width_snu", 0.1),
             phase_set=default_phase_set(_int(tnode, "n_phases", 12)),
             max_iters=_int(tnode, "max_iters", 2000),
-            tol=float(tnode.get("tol", 1e-10)),
-            q_max=float(tnode.get("q_max_snu", 10.0)),
+            tol=_float(tnode, "tol", 1e-10),
+            q_max=_float(tnode, "q_max_snu", 10.0),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tomo: {exc}") from exc

@@ -11,6 +11,7 @@ Var_vac(X) = 1, so
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,22 @@ def quad_overlaps(dim: int, q: float, theta: float) -> np.ndarray:
     return np.exp(1j * theta * np.arange(dim)) * psi
 
 
-def marginal_pdf(state, theta: float, q) -> np.ndarray:
-    """Homodyne probability density P_theta(q) = <q_theta| rho |q_theta>."""
+def marginal_pdf(state, theta, q) -> np.ndarray:
+    """Homodyne probability density P_theta(q) = <q_theta| rho |q_theta>.
+
+    theta may be one phase, giving shape (n_q,), or a 1-D array of phases,
+    giving one row per phase; the wavefunctions on q are evaluated once.
+    psi is real and rho Hermitian, so only Re(rho_theta) contributes.
+    """
     rho = _as_density(state)
     dim = rho.shape[0]
-    phase = np.exp(1j * theta * np.arange(dim))
-    m = (phase[:, None] * rho * phase.conj()[None, :])
     psi = quad_wavefunctions(dim, q)
-    return np.real(np.einsum("mj,mn,nj->j", psi, m, psi))
+    rows = []
+    for t in np.atleast_1d(np.asarray(theta, dtype=float)):
+        phase = np.exp(1j * t * np.arange(dim))
+        m = (phase[:, None] * rho * phase.conj()[None, :]).real
+        rows.append(np.sum(psi * (m @ psi), axis=0))
+    return rows[0] if np.ndim(theta) == 0 else np.array(rows)
 
 
 @dataclass
@@ -92,11 +101,20 @@ class PreparedState:
     success_is_density: bool
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count and returned read-only because every caller shares them."""
+    x, w = roots_legendre(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(lo, hi, n_nodes: int):
     """Nodes and weights of an n_nodes-point Gauss-Legendre rule on each
     interval [lo, hi]. lo and hi broadcast; the results gain a trailing node
     axis, so (n_intervals,) bounds give (n_intervals, n_nodes) arrays."""
-    x, w = roots_legendre(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     lo = np.asarray(lo, dtype=float)[..., None]
     half = (np.asarray(hi, dtype=float)[..., None] - lo) / 2
     return lo + half * (x + 1), half * w

@@ -1,16 +1,19 @@
 """Synthetic homodyne acquisition and iterative maximum-likelihood state
 reconstruction with detection-efficiency correction.
 
-Sampling draws (phase, quadrature) records from the homodyne marginals of a
-state after a loss channel. Reconstruction bins the records, builds
-window-integrated quadrature POVM elements pushed through the adjoint of the
-loss channel (so the recovered state refers to the field before detection
-loss), and iterates rho <- R rho R / Tr[...] with the standard R operator.
+Sampling draws records from the homodyne marginals of a state after a loss
+channel; a record set is the pair (thetas, qs) of float arrays, one entry per
+shot. Reconstruction bins the records, builds window-integrated quadrature
+POVM elements pushed through the adjoint of the loss channel (so the
+recovered state refers to the field before detection loss), and iterates
+rho <- R rho R / Tr[...] with the standard R operator. Loss commutes with
+phase rotations, so the elements of every phase follow from the theta = 0
+set and a table of phase factors, and each iteration is two small real
+matrix products.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +34,6 @@ def default_phase_set(n_phases: int = 12) -> tuple[float, ...]:
 
 
 @dataclass
-class HomodyneRecord:
-    theta: float
-    q: float
-
-
-@dataclass
 class TomoConfig:
     """Reconstruction settings.
 
@@ -53,15 +50,19 @@ class TomoConfig:
     tol: float = 1e-10
     q_max: float = 10.0
 
-    def __post_init__(self):
-        if self.dim_recon < 2:
+    def __post_init__(self):  # written so that NaN fails every check
+        if not self.dim_recon >= 2:
             raise ValueError("dim_recon must be at least 2")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be positive")
         if not 0 < self.eta_correction <= 1:
             raise ValueError("eta_correction must lie in (0, 1]")
-        if self.tol <= 0:
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not 0 < self.q_max < np.inf:
+            raise ValueError("q_max must be positive and finite")
         if len(self.phase_set) == 0:
             raise ValueError("phase_set must be non-empty")
 
@@ -70,95 +71,103 @@ class TomoConfig:
         return int(np.ceil(2 * self.q_max / self.bin_width - 1e-9))
 
 
-def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: int = 0):
-    """Draw homodyne records from the state after a loss channel of
-    transmission eta. Deterministic for a fixed seed; the stream interleaves
-    phases the way an acquisition run would."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rho = loss_channel(state, eta)
-    phase_set = list(phase_set)
-
-    qgrid = np.arange(-10.0, 10.0 + CDF_STEP / 2, CDF_STEP)
-    tables = []
-    for theta in phase_set:
-        pdf = marginal_pdf(rho, theta, qgrid)
-        cdf = cumulative_trapezoid(np.clip(pdf, 0, None), qgrid, initial=0.0)
-        tables.append(cdf / cdf[-1])
-
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(phase_set), size=n_samples)
-    us = rng.random(n_samples)
-    qs = np.empty(n_samples)
-    for k in range(len(phase_set)):
-        mask = idx == k
-        if mask.any():
-            qs[mask] = np.interp(us[mask], tables[k], qgrid)
-    return [HomodyneRecord(phase_set[i], float(q)) for i, q in zip(idx, qs)]
-
-
-def records_to_arrays(records):
-    thetas = np.array([r.theta for r in records])
-    qs = np.array([r.q for r in records])
+def _record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
+    """The (thetas, qs) pair of a record set as two float arrays."""
+    thetas, qs = (np.asarray(a, dtype=float) for a in records)
+    if thetas.ndim != 1 or thetas.shape != qs.shape:
+        raise ValueError("records must be two 1-D arrays of equal length (thetas, qs)")
     return thetas, qs
 
 
+def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: int = 0):
+    """Draw homodyne records (thetas, qs) from the state after a loss channel
+    of transmission eta. Deterministic for a fixed seed; the stream
+    interleaves phases the way an acquisition run would."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rho = loss_channel(state, eta)
+    phases = np.asarray(phase_set, dtype=float)
+
+    qgrid = np.arange(-10.0, 10.0 + CDF_STEP / 2, CDF_STEP)
+    pdf = marginal_pdf(rho, phases, qgrid)
+    cdf = cumulative_trapezoid(np.clip(pdf, 0, None), qgrid, axis=-1, initial=0.0)
+    cdf /= cdf[:, -1:]
+
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, phases.size, size=n_samples)
+    us = rng.random(n_samples)
+    qs = np.empty(n_samples)
+    for k, table in enumerate(cdf):
+        mask = idx == k
+        qs[mask] = np.interp(us[mask], table, qgrid)
+    return phases[idx], qs
+
+
 def write_records(records, path) -> None:
+    """CSV with header theta_rad,q, 17 significant digits and CRLF line ends."""
+    thetas, qs = _record_arrays(records)
+    values = np.column_stack((thetas, qs)).ravel().tolist()
+    body = ("%.17g,%.17g\r\n" * thetas.size) % tuple(values)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_rad", "q"])
-        for r in records:
-            writer.writerow([f"{r.theta:.17g}", f"{r.q:.17g}"])
+        fh.write("theta_rad,q\r\n" + body)
 
 
-def read_records(path):
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out.append(HomodyneRecord(float(row[0]), float(row[1])))
-    return out
+def read_records(path) -> tuple[np.ndarray, np.ndarray]:
+    """The (thetas, qs) pair from a file written by write_records."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0].copy(), data[:, 1].copy()
 
 
-def build_povm(cfg: TomoConfig) -> np.ndarray:
-    """POVM elements, shape (n_phases * (n_bins + 1), dim, dim).
+def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The POVM in factored form, Pi_{k,b}[m, n] = e^{-i theta_k (m - n)} P_b[m, n].
 
-    Per phase: n_bins window-integrated quadrature operators (3-node
-    Gauss-Legendre each, detection loss folded in through the adjoint) plus
-    one overflow element defined by completeness. The adjoint of a
-    trace-preserving channel is unital, so the overflow element is the
-    adjoint image of the lossless one and the set sums to the identity.
+    Returns the theta = 0 elements P_b as a real (n_bins + 1, dim^2) matrix
+    and the phase factors as a complex (n_phases, dim^2) table. The P_b are
+    n_bins window-integrated quadrature operators (3-node Gauss-Legendre
+    each, detection loss folded in through the adjoint) plus the overflow
+    element I / n_phases - sum_b P_b. Loss is phase covariant, which makes
+    the factorization exact; the adjoint of a trace-preserving channel is
+    unital, so the overflow element is the adjoint image of the lossless one
+    and every phase's set sums to I / n_phases.
     """
     dim = cfg.dim_recon
     n_phases = len(cfg.phase_set)
     edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
-    weights /= n_phases
+    bins = acceptance_operator(dim, nodes, weights / n_phases, 0.0, cfg.eta_correction).real
+    bins = np.concatenate((bins, np.eye(dim)[None] / n_phases - bins.sum(axis=0)))
+    n = np.arange(dim)
+    thetas = np.asarray(cfg.phase_set, dtype=float)[:, None, None]
+    phases = np.exp(-1j * thetas * (n[:, None] - n))
+    return bins.reshape(-1, dim * dim), phases.reshape(-1, dim * dim)
 
-    elements = np.empty((n_phases, cfg.n_bins + 1, dim, dim), dtype=complex)
-    for k, theta in enumerate(cfg.phase_set):
-        bins = acceptance_operator(dim, nodes, weights, theta, cfg.eta_correction)
-        elements[k, :-1] = bins
-        elements[k, -1] = np.eye(dim) / n_phases - bins.sum(axis=0)
-    return elements.reshape(-1, dim, dim)
+
+def build_povm(cfg: TomoConfig) -> np.ndarray:
+    """POVM elements Pi_{k,b}, shape (n_phases * (n_bins + 1), dim, dim),
+    phase-major, from the factored form of _povm_factors."""
+    bins, phases = _povm_factors(cfg)
+    return (phases[:, None] * bins).reshape(-1, cfg.dim_recon, cfg.dim_recon)
 
 
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:
-    """Counts aligned with build_povm ordering; unknown phases are an error."""
-    thetas, qs = records_to_arrays(records)
-    phase_index = {round(p, 12): k for k, p in enumerate(cfg.phase_set)}
-    counts = np.zeros(len(cfg.phase_set) * (cfg.n_bins + 1), dtype=float)
+    """Counts aligned with build_povm ordering. Bin b of a phase holds
+    floor((q + q_max) / bin_width) = b for 0 <= b < n_bins; everything else
+    goes to the phase's overflow element. Unknown phases and non-finite q
+    are an error."""
+    thetas, qs = _record_arrays(records)
+    keys = np.round(np.asarray(cfg.phase_set, dtype=float), 12)
+    order = np.argsort(keys, kind="stable")  # a repeated phase maps to its last index
+    sorted_keys, wanted = keys[order], np.round(thetas, 12)
+    pos = np.searchsorted(sorted_keys, wanted, side="right") - 1
+    known = sorted_keys[pos] == wanted  # pos = -1 reads the largest key, never equal then
+    if not known.all():
+        raise ValueError(f"record phase {thetas[~known][0]} not in the configured phase set")
+    if not np.isfinite(qs).all():
+        raise ValueError("record quadratures must be finite")
+    b = np.floor((qs + cfg.q_max) / cfg.bin_width)
+    b = np.where((b >= 0) & (b < cfg.n_bins), b, cfg.n_bins).astype(np.intp)
     stride = cfg.n_bins + 1
-    for theta, q in zip(thetas, qs):
-        k = phase_index.get(round(theta, 12))
-        if k is None:
-            raise ValueError(f"record phase {theta} not in the configured phase set")
-        b = int(np.floor((q + cfg.q_max) / cfg.bin_width))
-        if b < 0 or b >= cfg.n_bins:
-            b = cfg.n_bins
-        counts[k * stride + b] += 1
-    return counts
+    return np.bincount(order[pos] * stride + b, minlength=len(keys) * stride).astype(float)
 
 
 @dataclass
@@ -176,47 +185,56 @@ def _frequencies_ll(freqs, probs) -> float:
     return float(np.sum(freqs[active] * np.log(probs[active])))
 
 
+def _probabilities(rho, bins, phases) -> np.ndarray:
+    """Tr[Pi_{k,b} rho] in build_povm order, flattened:
+    sum_mn P_b[m, n] Re(e^{-i theta_k (m - n)} rho[n, m])."""
+    return ((phases * rho.T.ravel()).real @ bins.T).ravel()
+
+
 def log_likelihood(state, records, cfg: TomoConfig) -> float:
     """Frequency-weighted log likelihood of the binned records; -inf when a
     populated bin has zero probability under the state."""
     counts = bin_records(records, cfg)
     freqs = counts / counts.sum()
-    povm = build_povm(cfg)
     rho = _as_density(state)
     if rho.shape[0] != cfg.dim_recon:
         raise ValueError("state dimension must match dim_recon")
-    probs = np.einsum("jab,ba->j", povm, rho).real
-    return _frequencies_ll(freqs, probs)
+    return _frequencies_ll(freqs, _probabilities(rho, *_povm_factors(cfg)))
 
 
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     """Iterate rho <- R rho R, R = sum_j (f_j / p_j) Pi_j over populated bins,
     from the maximally mixed seed. A likelihood that falls in any iteration
-    raises ValueError; stops on gain < tol or max_iters."""
-    if len(records) == 0:
-        raise ValueError("records must be non-empty")
-    counts = bin_records(records, cfg)
-    freqs = counts / counts.sum()
-    povm = build_povm(cfg)
+    raises ValueError; stops on gain < tol or max_iters.
 
-    active = freqs > 0
-    if active.sum() == 1:
+    R = sum_k e^{-i theta_k (m - n)} (c_k @ P)[m, n] with c = f / p on
+    populated bins and 0 elsewhere, so no iteration touches the full
+    per-phase stack of POVM elements.
+    """
+    counts = bin_records(records, cfg)
+    if counts.sum() == 0:
+        raise ValueError("records must be non-empty")
+    freqs = counts / counts.sum()
+    active = np.flatnonzero(freqs)
+    if active.size == 1:
         raise ValueError("all records fell into a single bin; cannot reconstruct")
-    pi_act = np.ascontiguousarray(povm[active])
     f_act = freqs[active]
+    bins, phases = _povm_factors(cfg)
 
     dim = cfg.dim_recon
+    ratio = np.zeros((len(cfg.phase_set), bins.shape[0]))
     rho = np.eye(dim, dtype=complex) / dim
-    probs = np.einsum("jab,ba->j", pi_act, rho).real
+    probs = _probabilities(rho, bins, phases)[active]
     ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
-        r = np.einsum("j,jab->ab", f_act / np.clip(probs, P_FLOOR, None), pi_act)
+        ratio.flat[active] = f_act / np.clip(probs, P_FLOOR, None)
+        r = np.sum(phases * (ratio @ bins), axis=0).reshape(dim, dim)
         rho = r @ rho @ r
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
-        probs = np.einsum("jab,ba->j", pi_act, rho).real
+        probs = _probabilities(rho, bins, phases)[active]
         new_ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
         if not new_ll >= ll - LL_SLACK * abs(ll):  # NaN fails too
             raise ValueError("likelihood decreased")

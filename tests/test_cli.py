@@ -17,6 +17,9 @@ from catprep.cli import (
 from catprep.states import cat
 
 
+NAN = float("nan")  # json writes NaN, and Python's json reads it back
+
+
 def write_config(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -259,17 +262,37 @@ def test_tomo_config_errors(tmp_path):
         ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 3.7}}),
         ("scan", {**SCAN_DOC, "eta_grid": [0.5, 1.2]}),
         ("scan", {**SCAN_DOC, "delta_grid_snu": [-0.1, 0.1]}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": [NAN, 0.5]}),
+        ("scan", {**SCAN_DOC, "theta_rad": NAN}),
+        ("scan", {**SCAN_DOC, "eta_grid": [NAN, 1.0]}),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [NAN, 0.1]}),
+        ("tomo", {**TOMO_DOC, "truth": {"kind": "cat_minus", "alpha": NAN}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "tol": NAN}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": NAN}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "q_max_snu": NAN}}),
+        ("tomo", {**TOMO_DOC, "seed": -1}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 0}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": -5}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
          "seed_fraction", "dim_recon_fraction", "n_phases_fraction", "max_iters_fraction",
-         "grid_num_fraction", "eta_above_one", "delta_negative"],
+         "grid_num_fraction", "eta_above_one", "delta_negative", "q_grid_nan", "theta_nan",
+         "eta_grid_nan", "delta_grid_nan", "truth_alpha_nan", "tol_nan", "bin_width_nan",
+         "q_max_nan", "seed_negative", "max_iters_zero", "max_iters_negative"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())  # refused before any output
+
+
+def test_negative_seed_flag_exits_with_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "tomo.json", TOMO_DOC)
+    assert run(["tomo", "--config", cfg, "--out", tmp_path / "o", "--seed", -1]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_falling_likelihood_is_a_numerical_failure(tmp_path, monkeypatch):

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catprep.fock import MixedState, basis_state, fidelity
+from catprep.homodyne import acceptance_operator, gauss_legendre
 from catprep.states import cat
 from catprep.tomography import (
-    HomodyneRecord,
+    LL_SLACK,
+    P_FLOOR,
     TomoConfig,
+    _frequencies_ll,
+    _povm_factors,
+    _probabilities,
     bin_records,
     build_povm,
     default_phase_set,
@@ -13,7 +20,6 @@ from catprep.tomography import (
     log_likelihood,
     mle_reconstruct,
     read_records,
-    records_to_arrays,
     sample_homodyne,
     write_records,
 )
@@ -49,20 +55,22 @@ def test_config_validation():
         TomoConfig(tol=0.0)
     with pytest.raises(ValueError):
         TomoConfig(phase_set=())
+    for bad in ({"max_iters": 0}, {"max_iters": -5}, {"tol": np.nan}, {"bin_width": np.nan},
+                {"eta_correction": np.nan}, {"q_max": 0.0}, {"q_max": np.nan}):
+        with pytest.raises(ValueError):
+            TomoConfig(**bad)
     assert TomoConfig().n_bins == 200
 
 
 def test_sampling_vacuum_statistics():
-    records = sample_homodyne(basis_state(0, 10), [0.0], 100_000, seed=11)
-    _, qs = records_to_arrays(records)
+    _, qs = sample_homodyne(basis_state(0, 10), [0.0], 100_000, seed=11)
     assert np.isclose(qs.mean(), 0.0, atol=0.02)
     assert np.isclose(qs.var(), 1.0, atol=0.02)
 
 
 def test_sampling_single_photon_dip():
     # P(|q| < 0.1) = 2.653e-4 for the single-photon marginal
-    records = sample_homodyne(basis_state(1, 10), [0.3], 100_000, seed=12)
-    _, qs = records_to_arrays(records)
+    _, qs = sample_homodyne(basis_state(1, 10), [0.3], 100_000, seed=12)
     assert (np.abs(qs) < 0.1).mean() < 0.002
 
 
@@ -71,8 +79,8 @@ def test_sampling_is_deterministic():
     a = sample_homodyne(s, default_phase_set(), 500, seed=7)
     b = sample_homodyne(s, default_phase_set(), 500, seed=7)
     c = sample_homodyne(s, default_phase_set(), 500, seed=8)
-    assert all(x.theta == y.theta and x.q == y.q for x, y in zip(a, b))
-    assert any(x.q != y.q for x, y in zip(a, c))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.any(a[1] != c[1])
 
 
 def test_sampling_rejects_empty_draw():
@@ -85,18 +93,16 @@ def test_records_csv_round_trip(tmp_path):
     path = tmp_path / "records.csv"
     write_records(records, path)
     back = read_records(path)
-    assert len(back) == len(records)
-    assert all(x.theta == y.theta and x.q == y.q for x, y in zip(records, back))
+    assert len(back[0]) == len(records[0])
+    assert np.array_equal(back[0], records[0]) and np.array_equal(back[1], records[1])
 
 
 def test_bin_records_counts_and_overflow():
     cfg = TomoConfig(phase_set=(0.0, np.pi / 2), bin_width=1.0, q_max=2.0)
-    records = [
-        HomodyneRecord(0.0, -1.5),
-        HomodyneRecord(0.0, 0.5),
-        HomodyneRecord(0.0, 5.0),  # overflow
-        HomodyneRecord(np.pi / 2, -3.0),  # overflow
-    ]
+    records = (
+        np.array([0.0, 0.0, 0.0, np.pi / 2]),
+        np.array([-1.5, 0.5, 5.0, -3.0]),  # the last two overflow
+    )
     counts = bin_records(records, cfg)
     stride = cfg.n_bins + 1
     assert counts.sum() == 4
@@ -105,11 +111,21 @@ def test_bin_records_counts_and_overflow():
     assert counts[cfg.n_bins] == 1  # phase-0 overflow
     assert counts[stride + cfg.n_bins] == 1  # phase-pi/2 overflow
 
+    # an edge belongs to the bin above it; -q_max opens bin 0, +q_max overflows
+    edges = (np.full(4, np.pi / 2), np.array([-2.0, -1.0, 0.0, 2.0]))
+    counts = bin_records(edges, cfg)
+    assert counts.sum() == 4
+    assert counts[stride + 0] == counts[stride + 1] == counts[stride + 2] == 1
+    assert counts[stride + cfg.n_bins] == 1
+    for q in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            bin_records((np.zeros(2), np.array([0.5, q])), cfg)
+
 
 def test_bin_records_rejects_unknown_phase():
     cfg = TomoConfig()
     with pytest.raises(ValueError):
-        bin_records([HomodyneRecord(0.123, 0.0)], cfg)
+        bin_records((np.array([0.123]), np.array([0.0])), cfg)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.85])
@@ -186,14 +202,14 @@ def test_truth_beats_random_challengers():
 def test_log_likelihood_minus_inf_sentinel():
     # a populated bin with zero probability under the state
     cfg = TomoConfig(dim_recon=2, phase_set=(0.0,), bin_width=20.0, q_max=10.0)
-    records = [HomodyneRecord(0.0, 50.0)]  # lands in overflow only
+    records = (np.array([0.0]), np.array([50.0]))  # lands in overflow only
     ll = log_likelihood(basis_state(0, 2), records, cfg)
     assert ll == -np.inf
 
 
 def test_log_likelihood_dimension_check():
     cfg = TomoConfig(dim_recon=12)
-    records = [HomodyneRecord(0.0, 0.5)]
+    records = (np.array([0.0]), np.array([0.5]))
     with pytest.raises(ValueError):
         log_likelihood(basis_state(0, 5), records, cfg)
 
@@ -222,9 +238,9 @@ def test_non_converged_flag():
 def test_reconstruct_rejects_degenerate_input():
     cfg = TomoConfig()
     with pytest.raises(ValueError):
-        mle_reconstruct([], cfg)
+        mle_reconstruct((np.array([]), np.array([])), cfg)
     with pytest.raises(ValueError):
-        mle_reconstruct([HomodyneRecord(0.0, 0.05), HomodyneRecord(0.0, 0.05)], cfg)
+        mle_reconstruct((np.zeros(2), np.full(2, 0.05)), cfg)
 
 
 def test_reconstruction_output_is_physical():
@@ -247,3 +263,72 @@ def test_fidelity_to_truth_dimension_check():
         fidelity_to_truth(result, basis_state(0, 4)),
         fidelity(MixedState(np.eye(4, dtype=complex) / 4), basis_state(0, 4)),
     )
+
+
+def reference_povm(cfg):
+    """The POVM built phase by phase, one lossy acceptance operator per
+    phase, with no use of phase covariance."""
+    dim, n_phases = cfg.dim_recon, len(cfg.phase_set)
+    edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
+    elements = []
+    for theta in cfg.phase_set:
+        bins = acceptance_operator(dim, nodes, weights / n_phases, theta, cfg.eta_correction)
+        elements += [*bins, np.eye(dim) / n_phases - bins.sum(axis=0)]
+    return np.array(elements)
+
+
+def reference_mle(records, cfg):
+    """RrhoR on the full stack of POVM elements, every iteration an einsum
+    over the populated ones; returns (rho, iterations, converged)."""
+    counts = bin_records(records, cfg)
+    freqs = counts / counts.sum()
+    active = freqs > 0
+    pi_act = reference_povm(cfg)[active]
+    f_act = freqs[active]
+    rho = np.eye(cfg.dim_recon, dtype=complex) / cfg.dim_recon
+    probs = np.einsum("jab,ba->j", pi_act, rho).real
+    ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
+    for iterations in range(1, cfg.max_iters + 1):
+        r = np.einsum("j,jab->ab", f_act / np.clip(probs, P_FLOOR, None), pi_act)
+        rho = r @ rho @ r
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        probs = np.einsum("jab,ba->j", pi_act, rho).real
+        new_ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
+        assert new_ll >= ll - LL_SLACK * abs(ll)
+        gain, ll = new_ll - ll, new_ll
+        if gain < cfg.tol:
+            return rho, iterations, True
+    return rho, cfg.max_iters, False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 12),
+    eta=st.floats(0.3, 1.0),
+    bin_width=st.floats(0.05, 3.0),
+    q_max=st.floats(1.0, 10.0),
+    phases=st.lists(st.floats(-np.pi, 2 * np.pi), min_size=1, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, q_max, phases, seed):
+    # phase sets need not be equally spaced, nor lie in [0, pi)
+    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width, q_max=q_max,
+                     phase_set=tuple(phases))
+    rho = random_density(dim, seed)
+    want = np.einsum("jab,ba->j", reference_povm(cfg), rho).real
+    assert np.allclose(_probabilities(rho, *_povm_factors(cfg)), want, rtol=0, atol=1e-13)
+    assert np.allclose(build_povm(cfg).sum(axis=0), np.eye(dim), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.85])
+def test_mle_matches_full_povm_iteration(eta):
+    truth = cat(0.7, "odd", 30)
+    records = sample_homodyne(truth, default_phase_set(), 50_000, eta=eta, seed=FROZEN_SEED)
+    cfg = TomoConfig(eta_correction=eta)
+    rho, iterations, converged = reference_mle(records, cfg)
+    result = mle_reconstruct(records, cfg)
+    assert result.iterations == iterations
+    assert result.converged == converged
+    assert np.max(np.abs(result.state.mat - rho)) <= 1e-12
