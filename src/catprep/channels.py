@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import MixedState, TwoModeState, _as_density
 
@@ -17,10 +18,11 @@ def loss_kraus(eta: float, dim: int) -> list[np.ndarray]:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
     kraus = []
     for k in range(dim):
-        ns = np.arange(k, dim, dtype=float)
-        log_binom = gammaln(ns + 1) - gammaln(ns - k + 1) - gammaln(k + 1)
+        ns = np.arange(k, dim)
+        log_binom = log_fact[ns] - log_fact[ns - k] - log_fact[k]
         # power(0, 0) = 1 covers the eta = 0 and eta = 1 endpoints
         coeff = np.exp(0.5 * log_binom) * np.power(eta, (ns - k) / 2) * (1 - eta) ** (k / 2)
         mat = np.zeros((dim, dim))

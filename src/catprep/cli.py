@@ -43,6 +43,10 @@ from .tomography import (
     write_records,
 )
 from .wigner import (
+    GRID_MAX,
+    GRID_MIN,
+    GRID_STEP,
+    default_grid_axes,
     grid_metadata,
     negativity_min,
     wigner_grid,
@@ -287,9 +291,9 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     cond, tail = _parse_conditioning(cfg, row)
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
     wnode = _section(cfg, "wigner")
-    w_min = _float(wnode, "min_snu", -6.0)
-    w_max = _float(wnode, "max_snu", 6.0)
-    w_step = _float(wnode, "step_snu", 0.05)
+    w_min = _float(wnode, "min_snu", GRID_MIN)
+    w_max = _float(wnode, "max_snu", GRID_MAX)
+    w_step = _float(wnode, "step_snu", GRID_STEP)
     if not (w_min < w_max and w_step > 0):
         raise ConfigError("wigner: need min_snu < max_snu and step_snu > 0")
     targets = _parse_targets(cfg, params.alpha)
@@ -345,9 +349,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
         out_dir / "bloch.json",
     )
 
-    n_pts = int(round((w_max - w_min) / w_step)) + 1
-    axis = np.linspace(w_min, w_max, n_pts)
-    grid = wigner_grid(prep.rho, axis, axis)
+    grid = wigner_grid(prep.rho, *default_grid_axes(w_min, w_max, w_step))
     write_grid_csv(grid, out_dir / "wigner.csv")
     meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
     meta["w_origin"] = wigner_point(prep.rho, 0.0, 0.0)
@@ -444,7 +446,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        if name == "tomo":  # the only subcommand that draws random numbers
+            p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .channels import apply_kraus_adjoint, loss_kraus
 from .fock import MixedState, PureState, TwoModeState, _as_density
@@ -105,7 +104,7 @@ class PreparedState:
 def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
     count and returned read-only because every caller shares them."""
-    x, w = roots_legendre(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

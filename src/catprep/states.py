@@ -3,10 +3,10 @@ entangled resource linking a single-rail qubit to a cat-state qubit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import PureState, TwoModeState, annihilate
 
@@ -19,7 +19,7 @@ def coherent(alpha: complex, dim: int) -> PureState:
     if abs(alpha) ** 2 >= dim / 4:
         raise ValueError(f"|alpha|^2 = {abs(alpha)**2:.3f} too large for dim {dim} (need < dim/4)")
     n = np.arange(dim)
-    log_fact = gammaln(n + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
     amps = np.exp(-abs(alpha) ** 2 / 2 - 0.5 * log_fact) * np.asarray(alpha, dtype=complex) ** n
     return PureState.from_amplitudes(amps)
 
@@ -57,7 +57,8 @@ def squeezed_vacuum(db: float, dim: int) -> PureState:
     t = np.tanh(r)
     amps = np.zeros(dim, dtype=complex)
     m = np.arange((dim + 1) // 2)
-    log_coeff = 0.5 * gammaln(2 * m + 1) - m * np.log(2) - gammaln(m + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
+    log_coeff = 0.5 * log_fact[2 * m] - m * np.log(2) - log_fact[m]
     amps[2 * m] = np.sqrt(1 / np.cosh(r)) * t**m * np.exp(log_coeff)
     return PureState.from_amplitudes(amps)
 

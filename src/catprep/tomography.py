@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .channels import loss_channel
 from .fock import MixedState, _as_density
-from .homodyne import acceptance_operator, gauss_legendre, marginal_pdf
+from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
 P_FLOOR = 1e-15  # probability floor inside the iteration only
@@ -88,9 +87,10 @@ def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: in
     rho = loss_channel(state, eta)
     phases = np.asarray(phase_set, dtype=float)
 
-    qgrid = np.arange(-10.0, 10.0 + CDF_STEP / 2, CDF_STEP)
-    pdf = marginal_pdf(rho, phases, qgrid)
-    cdf = cumulative_trapezoid(np.clip(pdf, 0, None), qgrid, axis=-1, initial=0.0)
+    qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + CDF_STEP / 2, CDF_STEP)
+    pdf = np.clip(marginal_pdf(rho, phases, qgrid), 0, None)
+    cdf = np.zeros_like(pdf)  # trapezoid rule, 0 at -Q_SUPPORT
+    cdf[:, 1:] = np.cumsum(np.diff(qgrid) * (pdf[:, 1:] + pdf[:, :-1]) / 2, axis=-1)
     cdf /= cdf[:, -1:]
 
     rng = np.random.default_rng(seed)

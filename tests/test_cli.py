@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catprep
 from catprep import tomography
 from catprep.cli import (
     EXIT_CONFIG,
@@ -293,6 +298,26 @@ def test_negative_seed_flag_exits_with_config_error(tmp_path, capsys):
     assert run(["tomo", "--config", cfg, "--out", tmp_path / "o", "--seed", -1]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("command, doc", [("scan", SCAN_DOC), ("prepare", PREP_DOC)])
+def test_seed_flag_is_tomo_only(tmp_path, capsys, command, doc):
+    # scan and prepare draw no random numbers, so argparse refuses --seed there
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, "--out", tmp_path / "o", "--seed", 7])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_loads_numpy_only():
+    src = str(Path(catprep.__file__).resolve().parents[1])
+    code = ("import sys; import catprep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_falling_likelihood_is_a_numerical_failure(tmp_path, monkeypatch):

@@ -3,8 +3,15 @@ import pytest
 
 from catprep.channels import loss_channel
 from catprep.fock import MixedState, basis_state
-from catprep.homodyne import marginal_pdf, quad_wavefunctions
-from catprep.states import cat, coherent
+from catprep.homodyne import (
+    Conditioning,
+    condition,
+    condition_tail,
+    marginal_pdf,
+    quad_wavefunctions,
+)
+from catprep.rsp import TABLE1
+from catprep.states import ResourceParams, cat, coherent, hybrid_entangled
 from catprep.wigner import (
     CONVENTION_TAG,
     WignerGrid,
@@ -154,6 +161,45 @@ def test_half_loss_erases_negativity():
     lossy = loss_channel(basis_state(1, 12), 0.5)
     grid = wigner_grid(lossy)
     assert negativity_min(grid) > -1e-9
+
+
+def _table1_state(row, eta_a):
+    spec = TABLE1[row - 1]
+    resource = hybrid_entangled(ResourceParams(), dim_b=30)
+    if spec.tail:
+        return condition_tail(resource, spec.theta_rad, spec.q_center, eta_a=eta_a).rho
+    return condition(resource, Conditioning(spec.theta_rad, spec.q_center, 0.2, eta_a)).rho
+
+
+def wigner_series_oracle(mp, rho, x, p):
+    # the kernel series summed term by term at 60 digits:
+    # W = e^{-s/2}/(2 pi) sum_{m>=n} c Re[rho_mn (-1)^n sqrt(n!/m!) z^(m-n) L_n^(m-n)(s)],
+    # s = x^2 + p^2, z = x - ip, c = 1 on the diagonal and 2 off it
+    with mp.workdps(60):
+        x, p = mp.mpf(x), mp.mpf(p)
+        s, z = x**2 + p**2, mp.mpc(x, -p)
+        total = mp.mpf(0)
+        for m in range(rho.shape[0]):
+            for n in range(m + 1):
+                k = (-1) ** n * mp.sqrt(mp.factorial(n) / mp.factorial(m)) * z ** (m - n)
+                term = (mp.mpc(rho[m, n].real, rho[m, n].imag) * k * mp.laguerre(n, m - n, s)).real
+                total += term if m == n else 2 * term
+        return float(mp.exp(-s / 2) * total / (2 * mp.pi))
+
+
+@pytest.mark.parametrize(
+    "row, eta_a, x, p",
+    [(2, 1.0, -3.95, 0.0), (2, 1.0, 5.75, 0.0), (2, 1.0, 4.0, 4.0),
+     (3, 1.0, -3.95, 0.0), (3, 1.0, 5.75, 0.0), (3, 1.0, 4.0, 4.0),
+     (1, 0.8, 0.0, -5.25)],
+)
+def test_wigner_point_matches_high_precision_series(row, eta_a, x, p):
+    # far from the origin the Laguerre factors are large, so every matrix
+    # element counts, however small
+    mp = pytest.importorskip("mpmath")
+    state = _table1_state(row, eta_a)
+    expected = wigner_series_oracle(mp, state.mat, x, p)
+    assert abs(wigner_point(state, x, p) - expected) <= 1e-12
 
 
 def test_default_grid_axes_shape():
