@@ -294,8 +294,10 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     w_min = _float(wnode, "min_snu", GRID_MIN)
     w_max = _float(wnode, "max_snu", GRID_MAX)
     w_step = _float(wnode, "step_snu", GRID_STEP)
-    if not (w_min < w_max and w_step > 0):
-        raise ConfigError("wigner: need min_snu < max_snu and step_snu > 0")
+    try:
+        axes = default_grid_axes(w_min, w_max, w_step)
+    except ValueError as exc:
+        raise ConfigError(f"wigner min_snu, max_snu, step_snu: {exc}") from exc
     targets = _parse_targets(cfg, params.alpha)
 
     resource = hybrid_entangled(params, dim_b=dim)
@@ -349,7 +351,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
         out_dir / "bloch.json",
     )
 
-    grid = wigner_grid(prep.rho, *default_grid_axes(w_min, w_max, w_step))
+    grid = wigner_grid(prep.rho, *axes)
     write_grid_csv(grid, out_dir / "wigner.csv")
     meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
     meta["w_origin"] = wigner_point(prep.rho, 0.0, 0.0)
@@ -408,6 +410,7 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
             "iterations": result.iterations,
             "log_likelihood": result.log_likelihood,
             "converged": result.converged,
+            "optimality_gap": result.optimality_gap,
         },
         out_dir / "recon.json",
     )

@@ -1,15 +1,15 @@
-"""Synthetic homodyne acquisition and iterative maximum-likelihood state
-reconstruction with detection-efficiency correction.
+"""Synthetic homodyne acquisition and maximum-likelihood state reconstruction
+with detection-efficiency correction.
 
 Sampling draws records from the homodyne marginals of a state after a loss
 channel; a record set is the pair (thetas, qs) of float arrays, one entry per
 shot. Reconstruction bins the records, builds window-integrated quadrature
 POVM elements pushed through the adjoint of the loss channel (so the
-recovered state refers to the field before detection loss), and iterates
-rho <- R rho R / Tr[...] with the standard R operator. Loss commutes with
-phase rotations, so the elements of every phase follow from the theta = 0
-set and a table of phase factors, and each iteration is two small real
-matrix products.
+recovered state refers to the field before detection loss), and maximises
+the likelihood by accelerated projected gradient over density matrices.
+Loss commutes with phase rotations, so the elements of every phase follow
+from the theta = 0 set and a table of phase factors: the bin probabilities
+and the gradient are each two small real matrix products.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_p
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
 P_FLOOR = 1e-15  # probability floor inside the iteration only
 LL_SLACK = 1e-9  # relative slack for the monotonicity check
+GAP_TOL = 1e-6  # certified bound on LL* - LL that, with a gain below tol, ends the MLE
+STEP_GROWTH = 1.2  # the gradient step grows by this after every accepted step
+BACKTRACKS = 60  # step halvings before a projected step counts as failed
 
 
 def default_phase_set(n_phases: int = 12) -> tuple[float, ...]:
@@ -176,6 +179,7 @@ class ReconResult:
     iterations: int
     log_likelihood: float
     converged: bool
+    optimality_gap: float  # lambda_max(R) - 1 at state, a bound on LL* - LL
 
 
 def _frequencies_ll(freqs, probs) -> float:
@@ -191,6 +195,25 @@ def _probabilities(rho, bins, phases) -> np.ndarray:
     return ((phases * rho.T.ravel()).real @ bins.T).ravel()
 
 
+def _r_operator(weights, bins, phases) -> np.ndarray:
+    """sum_j w_j Pi_j for real weights in build_povm order, the adjoint of
+    _probabilities: sum_k e^{-i theta_k (m - n)} (w_k @ P)[m, n]."""
+    dim = round(np.sqrt(bins.shape[1]))
+    return np.sum(phases * (weights.reshape(len(phases), -1) @ bins), axis=0).reshape(dim, dim)
+
+
+def _project_density(h: np.ndarray) -> np.ndarray:
+    """The density matrix nearest the Hermitian h in Frobenius norm: h's
+    eigenvectors with its eigenvalues projected onto the probability simplex
+    (Smolin, Gambetta, Smith, PRL 108, 070502 (2012))."""
+    w, v = np.linalg.eigh(h)
+    u = w[::-1]
+    excess = np.cumsum(u) - 1.0
+    r = np.count_nonzero(u > excess / np.arange(1, u.size + 1))  # >= 1: u_1 > u_1 - 1
+    rho = (v * np.maximum(w - excess[r - 1] / r, 0.0)) @ v.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
 def log_likelihood(state, records, cfg: TomoConfig) -> float:
     """Frequency-weighted log likelihood of the binned records; -inf when a
     populated bin has zero probability under the state."""
@@ -203,13 +226,25 @@ def log_likelihood(state, records, cfg: TomoConfig) -> float:
 
 
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
-    """Iterate rho <- R rho R, R = sum_j (f_j / p_j) Pi_j over populated bins,
-    from the maximally mixed seed. A likelihood that falls in any iteration
-    raises ValueError; stops on gain < tol or max_iters.
+    """Maximum likelihood over density matrices by accelerated projected
+    gradient (APG; Shang, Zhang, Ng, PRA 95, 062336 (2017)), from the
+    maximally mixed state.
 
-    R = sum_k e^{-i theta_k (m - n)} (c_k @ P)[m, n] with c = f / p on
-    populated bins and 0 elsewhere, so no iteration touches the full
-    per-phase stack of POVM elements.
+    The gradient of the log likelihood LL is R = sum_j (f_j / p_j) Pi_j over
+    populated bins, built from the factored POVM, so no iteration touches the
+    full per-phase stack. A step moves from the extrapolated point sigma
+    along R and projects onto density matrices; its length halves until the
+    quadratic bound holds, and grows by STEP_GROWTH after it is accepted.
+    Nesterov momentum moves sigma past the last iterate; it restarts from the
+    iterate when a step lowers LL or sigma gives a populated bin a probability
+    <= 0. So the accepted iterates never lower LL: a step from an accepted
+    iterate that lowers it beyond LL_SLACK, backtracking that runs out, or a
+    NaN raises ValueError.
+
+    Converged when a step gains less than tol and the gap lambda_max(R) - 1
+    is at most GAP_TOL. The gap bounds LL* - LL, since LL is concave and
+    Tr R rho = 1; a gain below tol alone can stop on a plateau of the
+    coherent targets. Otherwise stops after max_iters.
     """
     counts = bin_records(records, cfg)
     if counts.sum() == 0:
@@ -220,30 +255,64 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
         raise ValueError("all records fell into a single bin; cannot reconstruct")
     f_act = freqs[active]
     bins, phases = _povm_factors(cfg)
+    weights = np.zeros(freqs.size)
 
-    dim = cfg.dim_recon
-    ratio = np.zeros((len(cfg.phase_set), bins.shape[0]))
-    rho = np.eye(dim, dtype=complex) / dim
-    probs = _probabilities(rho, bins, phases)[active]
-    ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
+    def probabilities(rho):
+        return _probabilities(rho, bins, phases)[active]
+
+    def ll_of(probs):
+        return _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
+
+    def gradient(probs):
+        weights[active] = f_act / np.clip(probs, P_FLOOR, None)
+        return _r_operator(weights, bins, phases)
+
+    def gap(probs):
+        return float(np.linalg.eigvalsh(gradient(probs))[-1] - 1.0)
+
+    rho = np.eye(cfg.dim_recon, dtype=complex) / cfg.dim_recon
+    probs = probabilities(rho)
+    ll = ll_of(probs)
+    sigma, sigma_probs, sigma_ll, momentum = rho, probs, ll, 1.0
+    step = 1.0
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
-        ratio.flat[active] = f_act / np.clip(probs, P_FLOOR, None)
-        r = np.sum(phases * (ratio @ bins), axis=0).reshape(dim, dim)
-        rho = r @ rho @ r
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        probs = _probabilities(rho, bins, phases)[active]
-        new_ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
-        if not new_ll >= ll - LL_SLACK * abs(ll):  # NaN fails too
+        grad = gradient(sigma_probs)
+        first_step = step  # a restart tries rho with the step sigma started from
+        for _ in range(BACKTRACKS):
+            cand = _project_density(sigma + step * grad)
+            cand_probs = probabilities(cand)
+            cand_ll = ll_of(cand_probs)
+            move = cand - sigma
+            bound = sigma_ll + np.vdot(grad, move).real - np.vdot(move, move).real / (2 * step)
+            if cand_ll >= bound:
+                break
+            step /= 2
+        else:  # also a NaN, which fails every comparison
             raise ValueError("likelihood decreased")
-        gain = new_ll - ll
-        ll = new_ll
-        if gain < cfg.tol:
+        if not cand_ll >= ll:
+            if sigma is not rho:  # restart the momentum from the iterate
+                sigma, sigma_probs, sigma_ll, momentum, step = rho, probs, ll, 1.0, first_step
+                continue
+            if not cand_ll >= ll - LL_SLACK * abs(ll):
+                raise ValueError("likelihood decreased")
+            cand, cand_probs, cand_ll = rho, probs, ll  # rounding: stay put
+        next_momentum = (1 + np.sqrt(1 + 4 * momentum**2)) / 2
+        c = (momentum - 1) / next_momentum
+        sigma_probs = cand_probs + c * (cand_probs - probs)  # p is linear in rho
+        if sigma_probs.min() > 0:
+            sigma, momentum = (cand + c * (cand - rho) if c else cand), next_momentum
+        else:  # sigma would leave the likelihood's domain
+            sigma, sigma_probs, momentum = cand, cand_probs, 1.0
+        sigma_ll = ll_of(sigma_probs)
+        gain = cand_ll - ll
+        rho, probs, ll = cand, cand_probs, cand_ll
+        step *= STEP_GROWTH
+        if gain < cfg.tol and gap(probs) <= GAP_TOL:
             converged = True
             break
-    return ReconResult(MixedState(rho), iterations, ll, converged)
+    return ReconResult(MixedState(rho), iterations, ll, converged, gap(probs))
 
 
 def fidelity_to_truth(result_state: MixedState, truth) -> float:

@@ -20,6 +20,7 @@ CONVENTION_TAG = "snu-x2-norm1"  # X = a + a†, integral of W = 1
 GRID_MIN = -6.0
 GRID_MAX = 6.0
 GRID_STEP = 0.05  # the +-6 box misses 0.8e-4 to 4.3e-4 of the mass of the Table 1 states
+STEP_SLACK = 1e-9  # relative rounding slack in a grid's step count
 
 
 @dataclass
@@ -36,9 +37,14 @@ class WignerGrid:
 
 
 def default_grid_axes(lo: float = GRID_MIN, hi: float = GRID_MAX, step: float = GRID_STEP):
-    """Equal x and p axes from lo to hi, step apart (the step count is rounded)."""
-    n = int(round((hi - lo) / step)) + 1
-    axis = np.linspace(lo, hi, n)
+    """Equal x and p axes from lo to hi, step apart. The step must divide
+    hi - lo; only rounding slack (STEP_SLACK of the step count) is forgiven."""
+    if not (lo < hi and step > 0):  # written so that NaN fails
+        raise ValueError("need lo < hi and step > 0")
+    steps = (hi - lo) / step
+    if not abs(steps - round(steps)) <= STEP_SLACK * steps:
+        raise ValueError(f"step {float(step)!r} does not divide hi - lo = {float(hi - lo)!r}")
+    axis = np.linspace(lo, hi, round(steps) + 1)
     return axis, axis.copy()
 
 

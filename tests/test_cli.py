@@ -217,6 +217,7 @@ def test_tomo_outputs(tmp_path):
     assert recon["dim"] == 8
     assert len(recon["rho"]) == 64
     assert recon["iterations"] >= 1
+    assert recon["optimality_gap"] >= -1e-12
 
     report = json.loads((out / "report.json").read_text())
     for key in ("truth", "n_samples", "eta", "eta_correction", "seed",
@@ -225,6 +226,29 @@ def test_tomo_outputs(tmp_path):
     assert report["seed"] == 5
     assert report["truth"] == {"kind": "cat_minus", "alpha": 0.7}
     assert report["fidelity_recon_truth"] > 0.9
+
+
+def readme_tomo_config():
+    """The tomo config document shown in the README."""
+    text = (Path(catprep.__file__).resolve().parents[2] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+    (doc,) = [json.loads(b) for b in blocks if '"truth"' in b]
+    return doc
+
+
+@pytest.mark.parametrize("seed", [11, 13])
+def test_readme_tomo_config_converges(tmp_path, seed):
+    # sampling seeds on which RrhoR ran into the 2000-iteration cap
+    cfg = write_config(tmp_path, "tomo.json", readme_tomo_config())
+    out = tmp_path / "out"
+    assert run(["tomo", "--config", cfg, "--out", out, "--seed", seed]) == EXIT_OK
+    recon = json.loads((out / "recon.json").read_text())
+    assert recon["converged"] is True
+    assert recon["iterations"] < tomography.TomoConfig().max_iters
+    # lambda_max(R) - 1 bounds LL* - LL; rounding may put it a hair below 0
+    assert -1e-12 <= recon["optimality_gap"] <= tomography.GAP_TOL
+    report = json.loads((out / "report.json").read_text())
+    assert report["fidelity_recon_truth"] >= 0.98
 
 
 def test_tomo_seed_override_changes_records(tmp_path):
@@ -278,13 +302,15 @@ def test_tomo_config_errors(tmp_path):
         ("tomo", {**TOMO_DOC, "seed": -1}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 0}}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": -5}}),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.3}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
          "seed_fraction", "dim_recon_fraction", "n_phases_fraction", "max_iters_fraction",
          "grid_num_fraction", "eta_above_one", "delta_negative", "q_grid_nan", "theta_nan",
          "eta_grid_nan", "delta_grid_nan", "truth_alpha_nan", "tol_nan", "bin_width_nan",
-         "q_max_nan", "seed_negative", "max_iters_zero", "max_iters_negative"],
+         "q_max_nan", "seed_negative", "max_iters_zero", "max_iters_negative",
+         "wigner_step_not_dividing"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)

@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 
 from catprep.fock import MixedState, basis_state, fidelity
 from catprep.homodyne import acceptance_operator, gauss_legendre
+from catprep.rsp import TargetSpec, target_state
 from catprep.states import cat
 from catprep.tomography import (
+    GAP_TOL,
     LL_SLACK,
     P_FLOOR,
     TomoConfig,
     _frequencies_ll,
     _povm_factors,
     _probabilities,
+    _project_density,
+    _r_operator,
     bin_records,
     build_povm,
     default_phase_set,
@@ -317,18 +321,59 @@ def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, q_ma
     cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width, q_max=q_max,
                      phase_set=tuple(phases))
     rho = random_density(dim, seed)
-    want = np.einsum("jab,ba->j", reference_povm(cfg), rho).real
-    assert np.allclose(_probabilities(rho, *_povm_factors(cfg)), want, rtol=0, atol=1e-13)
+    povm, factors = reference_povm(cfg), _povm_factors(cfg)
+    want = np.einsum("jab,ba->j", povm, rho).real
+    assert np.allclose(_probabilities(rho, *factors), want, rtol=0, atol=1e-13)
     assert np.allclose(build_povm(cfg).sum(axis=0), np.eye(dim), rtol=0, atol=1e-12)
+    # the gradient operator R = sum_j w_j Pi_j, for weights of the size of f_j / p_j
+    weights = np.random.default_rng(seed).uniform(0, 1, len(povm))
+    want_r = np.einsum("j,jab->ab", weights, povm)
+    assert np.allclose(_r_operator(weights, *factors), want_r, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("eta", [1.0, 0.85])
-def test_mle_matches_full_povm_iteration(eta):
-    truth = cat(0.7, "odd", 30)
+@pytest.mark.parametrize(
+    "kind, eta",
+    [("cat_minus", 1.0), ("cat_minus", 0.85), ("coherent_minus", 1.0)],
+    # coherent_minus at eta 1 has a plateau where a single step gains less
+    # than tol well before the optimum; the cat_minus cases keep the ids they
+    # had when eta was the only parameter
+    ids=["1.0", "0.85", "coherent_minus-1.0"],
+)
+def test_mle_matches_full_povm_iteration(kind, eta):
+    # RrhoR on the full POVM stack is the oracle: APG must reach at least its
+    # likelihood at the same tol, and certify how far it is from the optimum
+    truth = target_state(TargetSpec(kind=kind, alpha=0.7), 30)
     records = sample_homodyne(truth, default_phase_set(), 50_000, eta=eta, seed=FROZEN_SEED)
     cfg = TomoConfig(eta_correction=eta)
-    rho, iterations, converged = reference_mle(records, cfg)
+    rho, _, ref_converged = reference_mle(records, cfg)
     result = mle_reconstruct(records, cfg)
-    assert result.iterations == iterations
-    assert result.converged == converged
-    assert np.max(np.abs(result.state.mat - rho)) <= 1e-12
+    assert ref_converged and result.converged
+    assert result.iterations < cfg.max_iters
+    ll_ref = log_likelihood(MixedState(rho), records, cfg)
+    assert result.log_likelihood >= ll_ref
+    assert result.log_likelihood == pytest.approx(log_likelihood(result.state, records, cfg),
+                                                  rel=0, abs=1e-12)
+    assert -1e-12 <= result.optimality_gap <= GAP_TOL
+
+
+def random_hermitian(dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return scale * (a + a.conj().T) / 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e2), shift=st.floats(-10.0, 10.0))
+def test_density_projection(dim, seed, scale, shift):
+    # the MLE projects sigma + t R with entries below about 3, well inside this range
+    h = random_hermitian(dim, seed, scale) + shift * np.eye(dim)
+    p = _project_density(h)
+    assert np.array_equal(p, p.conj().T)
+    assert abs(np.trace(p).real - 1) <= 1e-12
+    assert np.linalg.eigvalsh(p).min() >= -1e-12
+    np.testing.assert_allclose(_project_density(p), p, rtol=0, atol=1e-12)  # idempotent
+    # the nearest point: Re Tr[(H - P(H))(sigma - P(H))] <= 0 for every density matrix sigma
+    for k in range(3):
+        sigma = random_density(dim, seed + k)
+        assert np.vdot(h - p, sigma - p).real <= 1e-12

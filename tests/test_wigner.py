@@ -209,6 +209,15 @@ def test_default_grid_axes_shape():
     assert xs.size == ps.size == 241
 
 
+def test_default_grid_axes_refuses_a_step_that_does_not_divide():
+    assert 0.3 / 0.1 != 3  # rounding slack, which is forgiven
+    assert np.allclose(default_grid_axes(0.0, 0.3, 0.1)[0], [0.0, 0.1, 0.2, 0.3])
+    for lo, hi, step in ((-1.0, 1.0, 0.3), (-1.0, 1.0, 3.0), (1.0, -1.0, 0.1), (-1.0, 1.0, 0.0),
+                         (-1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError):
+            default_grid_axes(lo, hi, step)
+
+
 def test_grid_csv_round_trip(tmp_path):
     grid = wigner_grid(cat(0.7, "even", 25), np.linspace(-3, 3, 31), np.linspace(-2, 2, 21))
     path = tmp_path / "w.csv"
