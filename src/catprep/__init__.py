@@ -27,7 +27,6 @@ from .homodyne import (
     PreparedState,
     closed_form_state,
     condition,
-    condition_tail,
     marginal_pdf,
 )
 from .rsp import (
@@ -84,7 +83,6 @@ __all__ = [
     "closed_form_state",
     "coherent",
     "condition",
-    "condition_tail",
     "effective_alpha",
     "fidelity",
     "fidelity_vs_delta",

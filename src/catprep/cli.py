@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import replacing
 from .fock import fidelity, mean_photon_number, purity
-from .homodyne import Conditioning, condition, condition_tail
+from .homodyne import Conditioning, condition
 from .rsp import (
     DEFAULT_TARGETS,
     TABLE1,
@@ -92,13 +93,13 @@ def _fmt_json(value, indent: int = 0) -> str:
 
 
 def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(_fmt_json(obj))
         fh.write("\n")
 
 
 def write_scan_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "target", "fidelity"])
         for row in rows:
@@ -172,10 +173,10 @@ def _parse_resource(cfg: dict) -> ResourceParams:
     node = _section(cfg, "resource")
     try:
         return ResourceParams(
-            model=node.get("model", "experimental"),
-            alpha=_float(node, "alpha", 0.7),
-            squeezing_db=_float(node, "squeezing_db", 3.0),
-            weight_dv=_float(node, "weight_dv", 0.5),
+            model=node.get("model", ResourceParams.model),
+            alpha=_float(node, "alpha", ResourceParams.alpha),
+            squeezing_db=_float(node, "squeezing_db", ResourceParams.squeezing_db),
+            weight_dv=_float(node, "weight_dv", ResourceParams.weight_dv),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"resource: {exc}") from exc
@@ -268,28 +269,30 @@ def _parse_row(cfg: dict) -> Table1Row | None:
     return TABLE1[index - 1]
 
 
-def _parse_conditioning(cfg: dict, row: Table1Row | None) -> tuple[Conditioning, bool]:
+def _parse_conditioning(cfg: dict, row: Table1Row | None) -> Conditioning:
     node = _section(cfg, "conditioning")
     if row is not None:  # a published row fixes everything but the width and the loss
         node = {**node, "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
     try:
-        cond = Conditioning(
-            theta_rad=_float(node, "theta_rad", 0.0),
-            q_center=_float(node, "q_center_snu", 0.0),
-            delta=_float(node, "delta_snu", 0.2),
-            eta_a=_float(node, "eta_a", 1.0),
+        return Conditioning(
+            theta_rad=_float(node, "theta_rad", Conditioning.theta_rad),
+            q_center=_float(node, "q_center_snu", Conditioning.q_center),
+            delta=_float(node, "delta_snu", Conditioning.delta),
+            eta_a=_float(node, "eta_a", Conditioning.eta_a),
+            tail=node.get("tail", Conditioning.tail),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"conditioning: {exc}") from exc
-    return cond, bool(node.get("tail", False))
 
 
 def cmd_prepare(cfg: dict, out_dir) -> int:
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg)
     row = _parse_row(cfg)
-    cond, tail = _parse_conditioning(cfg, row)
+    cond = _parse_conditioning(cfg, row)
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
+    if not (bloch_alpha > 0 and bloch_alpha**2 < dim / 4):  # states.coherent's truncation bound
+        raise ConfigError(f"bloch_alpha must be positive with bloch_alpha^2 < dim/4 = {dim / 4:g}")
     wnode = _section(cfg, "wigner")
     w_min = _float(wnode, "min_snu", GRID_MIN)
     w_max = _float(wnode, "max_snu", GRID_MAX)
@@ -301,10 +304,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     targets = _parse_targets(cfg, params.alpha)
 
     resource = hybrid_entangled(params, dim_b=dim)
-    if tail:
-        prep = condition_tail(resource, cond.theta_rad, cond.q_center, eta_a=cond.eta_a)
-    else:
-        prep = condition(resource, cond)
+    prep = condition(resource, cond)
     rate = heralded_rate(prep.success_prob)
 
     fid_rows = []
@@ -330,7 +330,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
             "q_center_snu": cond.q_center,
             "delta_snu": cond.delta,
             "eta_a": cond.eta_a,
-            "tail": tail,
+            "tail": cond.tail,
         },
         "purity": purity(prep.rho),
         "mean_photon_number": mean_photon_number(prep.rho),
@@ -387,16 +387,18 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     tnode = _section(cfg, "tomo")
     try:
         tomo_cfg = TomoConfig(
-            dim_recon=_int(tnode, "dim_recon", 12),
+            dim_recon=_int(tnode, "dim_recon", TomoConfig.dim_recon),
             eta_correction=_float(tnode, "eta_correction", eta),
-            bin_width=_float(tnode, "bin_width_snu", 0.1),
+            bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
             phase_set=default_phase_set(_int(tnode, "n_phases", 12)),
-            max_iters=_int(tnode, "max_iters", 2000),
-            tol=_float(tnode, "tol", 1e-10),
-            q_max=_float(tnode, "q_max_snu", 10.0),
+            max_iters=_int(tnode, "max_iters", TomoConfig.max_iters),
+            tol=_float(tnode, "tol", TomoConfig.tol),
+            q_max=_float(tnode, "q_max_snu", TomoConfig.q_max),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"tomo: {exc}") from exc
+    if tomo_cfg.dim_recon > dim:
+        raise ConfigError(f"tomo: dim_recon must not exceed dim = {dim}")
 
     truth = target_state(truth_spec, dim)
     records = sample_homodyne(truth, tomo_cfg.phase_set, n_samples, eta=eta, seed=seed)

@@ -1,0 +1,22 @@
+"""Output files replaced whole: a failed or repeated write never truncates one."""
+
+import contextlib
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A temporary text file next to path, renamed onto path once the block ends
+    without an error and removed on an error, so the previous file stays. path is
+    unlinked before the rename: ext4 (auto_da_alloc) flushes the new data when a
+    rename replaces a file or a file is truncated, which slows rewrites severalfold."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

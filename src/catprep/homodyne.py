@@ -66,24 +66,30 @@ def marginal_pdf(state, theta, q) -> np.ndarray:
 
 @dataclass
 class Conditioning:
-    """Acceptance settings of the heralding homodyne measurement.
+    """Acceptance region of the heralding homodyne measurement.
 
     theta_rad : local-oscillator phase
-    q_center  : center of the acceptance window, shot-noise units
+    q_center  : window center, or the tail's threshold, shot-noise units
     delta     : window width; 0 selects the point-projection limit
     eta_a     : transmission of the conditioning path before the homodyne
+    tail      : accept |q| >= q_center out to Q_SUPPORT instead; delta is unused
     """
 
     theta_rad: float = 0.0
     q_center: float = 0.0
     delta: float = 0.2
     eta_a: float = 1.0
+    tail: bool = False
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if not 0.0 <= self.eta_a <= 1.0:
             raise ValueError("eta_a must lie in [0, 1]")
+        if not isinstance(self.tail, bool):
+            raise ValueError("tail must be true or false")
+        if self.tail and not 0.0 <= self.q_center < Q_SUPPORT:
+            raise ValueError(f"a tail needs 0 <= q_center < {Q_SUPPORT:g}")
 
 
 @dataclass
@@ -138,10 +144,14 @@ def acceptance_operator(dim: int, nodes, weights, theta: float, eta: float = 1.0
 
 
 def conditioning_operator(dim: int, c: Conditioning) -> np.ndarray:
-    """Acceptance operator of a heralding setting with its loss eta_a: point
-    projection at delta = 0, else a WINDOW_NODES-point Gauss-Legendre window
-    (exact at working precision for these smooth integrands)."""
-    if c.delta == 0.0:
+    """Acceptance operator of a heralding setting with its loss eta_a: the tail with
+    TAIL_NODES Gauss-Legendre nodes a side, a point projection at delta = 0, else a
+    WINDOW_NODES-point window (exact at working precision for these integrands)."""
+    if c.tail:
+        nodes, weights = gauss_legendre([c.q_center, -Q_SUPPORT], [Q_SUPPORT, -c.q_center],
+                                        TAIL_NODES)
+        nodes, weights = nodes.ravel(), weights.ravel()
+    elif c.delta == 0.0:
         nodes, weights = np.array([c.q_center]), np.ones(1)
     else:
         nodes, weights = gauss_legendre(-c.delta / 2, c.delta / 2, WINDOW_NODES)
@@ -149,38 +159,18 @@ def conditioning_operator(dim: int, c: Conditioning) -> np.ndarray:
     return acceptance_operator(dim, nodes, weights, c.theta_rad, c.eta_a)
 
 
-def _herald(resource: TwoModeState, op: np.ndarray, density: bool) -> PreparedState:
-    """Mode B given that the homodyne on mode A with acceptance operator op
-    fired: rho_B proportional to Tr_A[(op x 1) rho_AB]."""
+def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
+    """Mode B given that the homodyne on mode A accepted its outcome: rho_B
+    proportional to Tr_A[(E x 1) rho_AB], E the conditioning operator with its loss."""
+    op = conditioning_operator(resource.dim_a, c)
     r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
     raw = np.einsum("ca,abcd->bd", op, r4)
     success = float(np.real(np.trace(raw)))
     if not success >= MIN_SUCCESS:  # NaN fails too
         raise ValueError("acceptance region has zero probability")
     rho = raw / success
-    return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success, density)
-
-
-def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
-    """Condition mode B on a homodyne result of mode A inside the window;
-    loss eta_a acts on mode A first."""
-    return _herald(resource, conditioning_operator(resource.dim_a, c), c.delta == 0.0)
-
-
-def condition_tail(
-    resource: TwoModeState,
-    theta_rad: float,
-    q_min: float,
-    eta_a: float = 1.0,
-    q_max: float = Q_SUPPORT,
-) -> PreparedState:
-    """Two-sided tail acceptance |q| >= q_min (up to the numerical support
-    bound q_max). Used for the high-|Q| even-cat preparation."""
-    if not 0 <= q_min < q_max:
-        raise ValueError("need 0 <= q_min < q_max")
-    nodes, weights = gauss_legendre([q_min, -q_max], [q_max, -q_min], TAIL_NODES)
-    op = acceptance_operator(resource.dim_a, nodes.ravel(), weights.ravel(), theta_rad, eta_a)
-    return _herald(resource, op, False)
+    return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success,
+                         c.delta == 0.0 and not c.tail)
 
 
 def closed_form_state(

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import EIG_TOL, PureState, TwoModeState, _as_density, purity
-from .homodyne import MIN_SUCCESS, Conditioning, condition, condition_tail, conditioning_operator
+from .homodyne import MIN_SUCCESS, WINDOW_NODES, Conditioning, acceptance_operator
+from .homodyne import conditioning_operator, gauss_legendre
 from .states import cat, coherent
 
 BASE_HERALD_RATE_HZ = 200_000.0  # entanglement heralding rate of the source
@@ -109,7 +110,7 @@ def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
     resource and PSD operators stand in for a check of every heralded state."""
     if len(grid) == 0:
         return []
-    ops = np.stack(ops)
+    ops = np.asarray(ops)
     lowest = np.minimum(np.linalg.eigvalsh(resource.mat).min(), np.linalg.eigvalsh(ops).min())
     if not lowest >= -EIG_TOL:  # NaN fails too
         raise ValueError("resource or acceptance operator is not positive semidefinite")
@@ -124,46 +125,35 @@ def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
             for x, row in zip(grid, fids) for spec, f in zip(targets, row)]
 
 
-def fidelity_vs_q(
-    resource: TwoModeState,
-    theta_rad: float,
-    q_grid,
-    targets,
-    eta_a: float = 1.0,
-) -> list[dict]:
+def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets,
+                  eta_a: float = 1.0) -> list[dict]:
     """Point-conditioned fidelity for each (q, target) pair.
 
     Rows carry keys param, target, fidelity with param the quadrature value.
     """
-    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0, eta_a))
-           for q in q_grid]
-    return _scan(resource, q_grid, ops, targets)
+    q = np.asarray(q_grid, dtype=float)
+    ops = acceptance_operator(resource.dim_a, q[:, None], np.ones(1), theta_rad, eta_a)
+    return _scan(resource, q, ops, targets)
 
 
-def fidelity_vs_eta(
-    resource: TwoModeState,
-    q: float,
-    theta_rad: float,
-    eta_grid,
-    target: TargetSpec,
-) -> list[dict]:
+def fidelity_vs_eta(resource: TwoModeState, q: float, theta_rad: float, eta_grid,
+                    target: TargetSpec) -> list[dict]:
     """Point-conditioned fidelity as the heralding-path efficiency varies."""
     ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0, eta))
            for eta in eta_grid]
     return _scan(resource, eta_grid, ops, [target])
 
 
-def fidelity_vs_delta(
-    resource: TwoModeState,
-    q: float,
-    theta_rad: float,
-    delta_grid,
-    target: TargetSpec,
-) -> list[dict]:
-    """Window-conditioned fidelity as the acceptance width varies."""
-    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, delta, 1.0))
-           for delta in delta_grid]
-    return _scan(resource, delta_grid, ops, [target])
+def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_grid,
+                      target: TargetSpec) -> list[dict]:
+    """Window-conditioned fidelity as the acceptance width varies; a zero
+    width is the point projection, and a negative one raises ValueError."""
+    deltas = np.asarray(delta_grid, dtype=float)
+    nodes, weights = gauss_legendre(-deltas / 2, deltas / 2, WINDOW_NODES)
+    windows = acceptance_operator(resource.dim_a, nodes + q, weights, theta_rad)
+    point = conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0))
+    ops = np.where((deltas == 0.0)[:, None, None], point, windows)
+    return _scan(resource, deltas, ops, [target])
 
 
 def fit_power_law(deltas, drops) -> tuple[float, float]:
@@ -233,10 +223,3 @@ def heralded_rate(success_prob: float, base_rate_hz: float = BASE_HERALD_RATE_HZ
         raise ValueError("inputs must be nonnegative")
     return success_prob * base_rate_hz
 
-
-def prepare_row(resource: TwoModeState, row: Table1Row, delta: float = 0.2, eta_a: float = 1.0):
-    """Condition the resource per a published row; returns the prepared state."""
-    if row.tail:
-        return condition_tail(resource, row.theta_rad, row.q_center, eta_a=eta_a)
-    c = Conditioning(theta_rad=row.theta_rad, q_center=row.q_center, delta=delta, eta_a=eta_a)
-    return condition(resource, c)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import loss_channel
+from .files import replacing
 from .fock import MixedState, _as_density
 from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 
@@ -111,7 +112,7 @@ def write_records(records, path) -> None:
     thetas, qs = _record_arrays(records)
     values = np.column_stack((thetas, qs)).ravel().tolist()
     body = ("%.17g,%.17g\r\n" * thetas.size) % tuple(values)
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as fh:
         fh.write("theta_rad,q\r\n" + body)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import replacing
 from .fock import _as_density
 
 CONVENTION_TAG = "snu-x2-norm1"  # X = a + a†, integral of W = 1
@@ -105,7 +106,7 @@ def negativity_min(grid: WignerGrid) -> float:
 
 def write_grid_csv(grid: WignerGrid, path) -> None:
     """CSV matrix: two header rows carrying the axes, then W rows (one per p)."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["xs"] + [f"{v:.17g}" for v in grid.xs])
         writer.writerow(["ps"] + [f"{v:.17g}" for v in grid.ps])

@@ -18,8 +18,10 @@ from catprep.cli import (
     _parse_grid,
     main,
     write_json,
+    write_scan_csv,
 )
 from catprep.states import cat
+from catprep.wigner import WignerGrid, write_grid_csv
 
 
 NAN = float("nan")  # json writes NaN, and Python's json reads it back
@@ -303,6 +305,12 @@ def test_tomo_config_errors(tmp_path):
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 0}}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": -5}}),
         ("prepare", {**PREP_DOC, "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.3}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "dim_recon": 21}}),
+        ("prepare", {**PREP_DOC, "bloch_alpha": 0.0}),
+        ("prepare", {**PREP_DOC, "bloch_alpha": -0.7}),
+        ("prepare", {**PREP_DOC, "bloch_alpha": 2.5}),
+        ("prepare", {**PREP_DOC, "conditioning": {"q_center_snu": -2.0, "tail": True}}),
+        ("prepare", {**PREP_DOC, "conditioning": {"q_center_snu": 2.0, "tail": "false"}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
@@ -310,13 +318,39 @@ def test_tomo_config_errors(tmp_path):
          "grid_num_fraction", "eta_above_one", "delta_negative", "q_grid_nan", "theta_nan",
          "eta_grid_nan", "delta_grid_nan", "truth_alpha_nan", "tol_nan", "bin_width_nan",
          "q_max_nan", "seed_negative", "max_iters_zero", "max_iters_negative",
-         "wigner_step_not_dividing"],
+         "wigner_step_not_dividing", "dim_recon_above_dim", "bloch_alpha_zero",
+         "bloch_alpha_negative", "bloch_alpha_at_truncation_bound", "tail_negative_q",
+         "tail_text"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())  # refused before any output
+
+
+SCAN_ROW = {"param": 0.1, "target": "cat_minus", "fidelity": 0.5}
+WRITERS = {  # writer, a document it writes, and one it fails on
+    "write_json": (write_json, {"a": 1.0}, {"a": object()}),
+    "write_scan_csv": (write_scan_csv, [SCAN_ROW], [{"param": 0.2}]),
+    "write_grid_csv": (write_grid_csv, WignerGrid(np.zeros(1), np.zeros(1), np.zeros((1, 1))),
+                       WignerGrid(np.zeros(1), np.zeros(1), [["text"]])),
+    "write_records": (tomography.write_records, (np.zeros(2), np.ones(2)),
+                      (np.zeros(2), np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_rewrite_keeps_the_previous_file(tmp_path, name):
+    writer, good, bad = WRITERS[name]
+    path = tmp_path / "out.txt"
+    writer(good, path)
+    writer(good, path)  # a rewrite replaces the existing file
+    before = path.read_bytes()
+    with pytest.raises((TypeError, KeyError, ValueError)):
+        writer(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]  # no temporary file left
 
 
 def test_negative_seed_flag_exits_with_config_error(tmp_path, capsys):

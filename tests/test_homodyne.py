@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.stats import norm
 
 from catprep.channels import loss_channel, loss_on_mode_a
 from catprep.fock import MixedState, basis_state, fidelity, partial_trace
 from catprep.homodyne import (
+    Q_SUPPORT,
     Conditioning,
     closed_form_state,
     condition,
-    condition_tail,
     marginal_pdf,
     quad_overlaps,
     quad_wavefunctions,
@@ -107,22 +109,44 @@ def test_conditioning_validation():
         Conditioning(eta_a=1.3)
 
 
+def _check_acceptance_oracle(q_center, delta, eta, w, tail):
+    # Alice's reduced state is (1 - w eta)|0><0| + w eta |1><1| and
+    # |psi_1(q)|^2 = q^2 |psi_0(q)|^2, so the probability of a window or of
+    # the tail |q| >= q_center follows from normal-distribution integrals
+    # (the tail's mass beyond Q_SUPPORT is below 1e-20)
+    res = hybrid_entangled(ResourceParams(weight_dv=w), dim_b=40)
+    prep = condition(res, Conditioning(q_center=q_center, delta=delta, eta_a=eta, tail=tail))
+    if tail:
+        i0 = 2 * norm.cdf(-q_center)
+        i2 = i0 + 2 * q_center * norm.pdf(q_center)
+    else:
+        a, b = q_center - delta / 2, q_center + delta / 2
+        i0 = norm.cdf(b) - norm.cdf(a)
+        i2 = i0 - (b * norm.pdf(b) - a * norm.pdf(a))
+    expected = (1 - w * eta) * i0 + w * eta * i2
+    assert np.isclose(prep.success_prob, expected, atol=1e-10 if tail else 1e-12)
+    assert not prep.success_is_density
+
+
 @pytest.mark.parametrize(
     "q_center,delta,eta",
     [(0.0, 0.2, 1.0), (0.0, 0.2, 0.7), (1.0, 0.4, 0.85), (-1.14, 0.2, 1.0)],
 )
 def test_window_success_matches_gaussian_oracle(q_center, delta, eta):
-    # Alice's reduced state is (1 - w eta)|0><0| + w eta |1><1|, so the
-    # window probability follows from normal-distribution integrals
-    w = 0.5
-    res = hybrid_entangled(ResourceParams(weight_dv=w), dim_b=40)
-    prep = condition(res, Conditioning(q_center=q_center, delta=delta, eta_a=eta))
-    a, b = q_center - delta / 2, q_center + delta / 2
-    i0 = norm.cdf(b) - norm.cdf(a)
-    i2 = i0 - (b * norm.pdf(b) - a * norm.pdf(a))
-    expected = (1 - w * eta) * i0 + w * eta * i2
-    assert np.isclose(prep.success_prob, expected, atol=1e-12)
-    assert not prep.success_is_density
+    _check_acceptance_oracle(q_center, delta, eta, 0.5, tail=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q_center=st.floats(-3.0, 3.0),
+    delta=st.floats(0.01, 1.0),
+    eta=st.floats(0.0, 1.0),
+    w=st.floats(0.0, 1.0),
+    tail=st.booleans(),
+)
+@example(q_center=2.0, delta=0.2, eta=1.0, w=0.5, tail=True)
+def test_acceptance_success_matches_gaussian_oracle(q_center, delta, eta, w, tail):
+    _check_acceptance_oracle(abs(q_center) if tail else q_center, delta, eta, w, tail)
 
 
 def test_window_success_matches_marginal_integral():
@@ -201,24 +225,20 @@ def test_loss_before_projection_degrades_fidelity():
 
 
 def test_tail_conditioning_success_oracle():
-    w = 0.5
-    res = hybrid_entangled(ResourceParams(weight_dv=w), dim_b=40)
-    prep = condition_tail(res, 0.0, 2.0)
-    i0 = 2 * norm.cdf(-2.0)
-    i2 = i0 + 2 * 2.0 * norm.pdf(2.0)
-    expected = (1 - w) * i0 + w * i2
-    assert np.isclose(prep.success_prob, expected, atol=1e-10)
-    # frozen from this oracle at dim 40
+    # frozen at dim 40 from the Gaussian oracle's tail example above
+    res = hybrid_entangled(ResourceParams(weight_dv=0.5), dim_b=40)
+    prep = condition(res, Conditioning(q_center=2.0, tail=True))
     assert np.isclose(prep.success_prob, 0.1534821969227534, atol=1e-10)
     assert np.isclose(fidelity(prep.rho, cat(0.7, "even", 40)), 0.8422758830922087, atol=1e-8)
 
 
 def test_tail_conditioning_validation():
-    res = hybrid_entangled(ResourceParams(), dim_b=20)
+    for q_min in (-1.0, Q_SUPPORT, 12.0, np.nan):
+        with pytest.raises(ValueError):
+            Conditioning(q_center=q_min, tail=True)
     with pytest.raises(ValueError):
-        condition_tail(res, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        condition_tail(res, 0.0, 12.0, q_max=10.0)
+        Conditioning(q_center=2.0, tail="false")  # a truthy string is not a flag
+    Conditioning(q_center=-1.0)  # a window may sit anywhere
 
 
 def test_conditioned_state_is_physical():
@@ -235,7 +255,7 @@ def test_conditioned_state_is_physical():
     [
         lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.2, eta_a=eta)),
         lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.0, eta_a=eta)),
-        lambda res, eta: condition_tail(res, 0.0, 2.0, eta_a=eta),
+        lambda res, eta: condition(res, Conditioning(q_center=2.0, eta_a=eta, tail=True)),
     ],
     ids=["window", "point", "tail"],
 )

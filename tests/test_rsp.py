@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catprep.fock import MixedState, TwoModeState, fidelity
-from catprep.homodyne import Conditioning, condition, condition_tail
+from catprep.homodyne import Conditioning, condition
 from catprep.rsp import (
     TABLE1,
     BlochCoords,
@@ -16,7 +16,6 @@ from catprep.rsp import (
     fidelity_vs_q,
     fit_power_law,
     heralded_rate,
-    prepare_row,
     target_state,
 )
 from catprep.states import ResourceParams, cat, coherent, hybrid_entangled
@@ -290,24 +289,28 @@ def test_heralded_rate():
         heralded_rate(-0.01)
 
 
-def test_prepare_row_routes_tail_and_window():
+def table1_conditioning(row, delta=0.2):
+    return Conditioning(row.theta_rad, row.q_center, delta, tail=row.tail)
+
+
+def test_tail_is_not_a_density_and_ignores_delta():
+    # a tail's success is a probability even at delta = 0, and its width
+    # setting plays no part
     res = experimental_resource()
-    tail_prep = prepare_row(res, TABLE1[0])
-    direct = condition_tail(res, TABLE1[0].theta_rad, TABLE1[0].q_center)
-    assert np.isclose(tail_prep.success_prob, direct.success_prob, atol=1e-14)
-    assert not tail_prep.success_is_density
-
-    win_prep = prepare_row(res, TABLE1[1], delta=0.2)
-    direct2 = condition(res, Conditioning(q_center=0.0, delta=0.2))
-    assert np.isclose(win_prep.success_prob, direct2.success_prob, atol=1e-14)
+    tail = [condition(res, table1_conditioning(TABLE1[0], delta=d)) for d in (0.0, 0.2)]
+    assert not any(p.success_is_density for p in tail)
+    assert tail[0].success_prob == tail[1].success_prob
+    assert np.array_equal(tail[0].rho.mat, tail[1].rho.mat)
+    window = condition(res, table1_conditioning(TABLE1[1]))
+    assert not window.success_is_density
 
 
-def test_prepare_row_fidelity_sanity():
+def test_table1_fidelity_sanity():
     # the lossless simulation must at least reach the published experimental
     # fidelities (within a small slack for the tail row, where the published
     # number reflects a slightly larger effective cat)
     res = experimental_resource()
     for row in TABLE1:
-        prep = prepare_row(res, row)
+        prep = condition(res, table1_conditioning(row))
         f = fidelity(prep.rho, target_state(row.target, res.dim_b))
         assert row.published_fidelity - 0.03 <= f <= 1.0

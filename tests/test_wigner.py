@@ -6,7 +6,6 @@ from catprep.fock import MixedState, basis_state
 from catprep.homodyne import (
     Conditioning,
     condition,
-    condition_tail,
     marginal_pdf,
     quad_wavefunctions,
 )
@@ -166,9 +165,8 @@ def test_half_loss_erases_negativity():
 def _table1_state(row, eta_a):
     spec = TABLE1[row - 1]
     resource = hybrid_entangled(ResourceParams(), dim_b=30)
-    if spec.tail:
-        return condition_tail(resource, spec.theta_rad, spec.q_center, eta_a=eta_a).rho
-    return condition(resource, Conditioning(spec.theta_rad, spec.q_center, 0.2, eta_a)).rho
+    c = Conditioning(spec.theta_rad, spec.q_center, 0.2, eta_a, spec.tail)
+    return condition(resource, c).rho
 
 
 def wigner_series_oracle(mp, rho, x, p):
