@@ -12,14 +12,13 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .files import replacing
+from .files import replacing, write_csv
 from .fock import fidelity, mean_photon_number, purity
 from .homodyne import Conditioning, condition
 from .rsp import (
@@ -99,13 +98,10 @@ def write_json(obj, path) -> None:
 
 
 def write_scan_csv(rows, path) -> None:
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "target", "fidelity"])
-        for row in rows:
-            writer.writerow(
-                [f"{row['param']:.17g}", row["target"], f"{row['fidelity']:.17g}"]
-            )
+    # target kinds come from rsp.TARGET_KINDS, and none holds a comma or a quote,
+    # so these are the bytes csv.writer wrote, which quotes only such fields
+    fields = [v for row in rows for v in (row["param"], row["target"], row["fidelity"])]
+    write_csv(path, "param,target,fidelity\r\n", "%.17g,%s,%.17g", len(rows), fields)
 
 
 def _rho_pairs(mat: np.ndarray) -> list:
@@ -182,11 +178,16 @@ def _parse_resource(cfg: dict) -> ResourceParams:
         raise ConfigError(f"resource: {exc}") from exc
 
 
-def _parse_target(node, default_alpha: float) -> TargetSpec:
+def _check_alpha(name: str, alpha: float, dim: int) -> None:
+    if not (alpha > 0 and alpha**2 < dim / 4):  # states.coherent's truncation bound
+        raise ConfigError(f"{name} must be positive and below sqrt(dim)/2 = {dim**0.5 / 2:g}")
+
+
+def _parse_target(node, default_alpha: float, dim: int) -> TargetSpec:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("target: need an object with a 'kind' key")
     try:
-        return TargetSpec(
+        spec = TargetSpec(
             kind=node["kind"],
             alpha=_float(node, "alpha", default_alpha),
             c_plus=complex(*node["c_plus"]) if "c_plus" in node else 0j,
@@ -194,14 +195,16 @@ def _parse_target(node, default_alpha: float) -> TargetSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"target: {exc}") from exc
+    _check_alpha(f"{spec.kind} target alpha", spec.alpha, dim)
+    return spec
 
 
-def _parse_targets(cfg: dict, default_alpha: float) -> list[TargetSpec]:
+def _parse_targets(cfg: dict, default_alpha: float, dim: int) -> list[TargetSpec]:
     if "targets" not in cfg:
         return list(DEFAULT_TARGETS)
     if not isinstance(cfg["targets"], list) or not cfg["targets"]:
         raise ConfigError("targets: need a non-empty list of targets")
-    return [_parse_target(t, default_alpha) for t in cfg["targets"]]
+    return [_parse_target(t, default_alpha, dim) for t in cfg["targets"]]
 
 
 def _parse_dim(cfg: dict) -> int:
@@ -216,7 +219,7 @@ def cmd_scan(cfg: dict, out_dir) -> int:
     params = _parse_resource(cfg)
     theta = _float(cfg, "theta_rad", 0.0)
     q_grid = _parse_grid(cfg.get("q_grid_snu", {"start": -3.0, "stop": 3.0, "num": 121}), "q_grid_snu")
-    targets = _parse_targets(cfg, params.alpha)
+    targets = _parse_targets(cfg, params.alpha, dim)
     eta_grid = _parse_grid(cfg.get("eta_grid", {"start": 0.5, "stop": 1.0, "num": 26}), "eta_grid")
     if eta_grid[0] < 0 or eta_grid[-1] > 1:
         raise ConfigError("eta_grid: efficiencies must lie in [0, 1]")
@@ -230,7 +233,7 @@ def cmd_scan(cfg: dict, out_dir) -> int:
     if not isinstance(eta_scan, list) or not eta_scan or not all(isinstance(n, dict) for n in eta_scan):
         raise ConfigError("eta_scan: need a non-empty list of objects")
     eta_points = [
-        (_float(node, "q_center_snu", 0.0), _parse_target(node.get("target", {}), params.alpha))
+        (_float(node, "q_center_snu", 0.0), _parse_target(node.get("target", {}), params.alpha, dim))
         for node in eta_scan
     ]
     delta_grid = _parse_grid(
@@ -240,7 +243,7 @@ def cmd_scan(cfg: dict, out_dir) -> int:
         raise ConfigError("delta_grid_snu: widths must be nonnegative")
     delta_scan = _section(cfg, "delta_scan", {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}})
     delta_q = _float(delta_scan, "q_center_snu", 0.0)
-    delta_target = _parse_target(delta_scan.get("target", {}), params.alpha)
+    delta_target = _parse_target(delta_scan.get("target", {}), params.alpha, dim)
 
     resource = hybrid_entangled(params, dim_b=dim)
 
@@ -291,8 +294,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     row = _parse_row(cfg)
     cond = _parse_conditioning(cfg, row)
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
-    if not (bloch_alpha > 0 and bloch_alpha**2 < dim / 4):  # states.coherent's truncation bound
-        raise ConfigError(f"bloch_alpha must be positive with bloch_alpha^2 < dim/4 = {dim / 4:g}")
+    _check_alpha("bloch_alpha", bloch_alpha, dim)
     wnode = _section(cfg, "wigner")
     w_min = _float(wnode, "min_snu", GRID_MIN)
     w_max = _float(wnode, "max_snu", GRID_MAX)
@@ -301,7 +303,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
         axes = default_grid_axes(w_min, w_max, w_step)
     except ValueError as exc:
         raise ConfigError(f"wigner min_snu, max_snu, step_snu: {exc}") from exc
-    targets = _parse_targets(cfg, params.alpha)
+    targets = _parse_targets(cfg, params.alpha, dim)
 
     resource = hybrid_entangled(params, dim_b=dim)
     prep = condition(resource, cond)
@@ -374,7 +376,7 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     params = _parse_resource(cfg)
     if "truth" not in cfg:
         raise ConfigError("tomo: need a 'truth' target")
-    truth_spec = _parse_target(cfg["truth"], params.alpha)
+    truth_spec = _parse_target(cfg["truth"], params.alpha, dim)
     n_samples = _int(cfg, "n_samples", 50_000)
     if n_samples < 1:
         raise ConfigError("n_samples must be a positive integer")

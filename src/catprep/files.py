@@ -20,3 +20,13 @@ def replacing(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, head: str, row_format: str, n_rows: int, fields) -> None:
+    """Replace path with CSV text built by one % operation on fields: head (whole
+    lines, which may hold fields too), then row_format, one row such as "%.17g,%s",
+    n_rows times. Lines end in CRLF, as csv.writer ends them, but nothing is quoted:
+    no field may hold a comma, a quote or a line break."""
+    text = (head + (row_format + "\r\n") * n_rows) % tuple(fields)
+    with replacing(path) as fh:
+        fh.write(text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import loss_channel
-from .files import replacing
+from .files import write_csv
 from .fock import MixedState, _as_density
 from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 
@@ -111,9 +111,7 @@ def write_records(records, path) -> None:
     """CSV with header theta_rad,q, 17 significant digits and CRLF line ends."""
     thetas, qs = _record_arrays(records)
     values = np.column_stack((thetas, qs)).ravel().tolist()
-    body = ("%.17g,%.17g\r\n" * thetas.size) % tuple(values)
-    with replacing(path) as fh:
-        fh.write("theta_rad,q\r\n" + body)
+    write_csv(path, "theta_rad,q\r\n", "%.17g,%.17g", thetas.size, values)
 
 
 def read_records(path) -> tuple[np.ndarray, np.ndarray]:

@@ -8,12 +8,11 @@ W(0, 0) = Tr[rho (-1)^n] / (2 pi).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import replacing
+from .files import write_csv
 from .fock import _as_density
 
 CONVENTION_TAG = "snu-x2-norm1"  # X = a + a†, integral of W = 1
@@ -59,27 +58,28 @@ def _wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     on l_n = (-1)^n sqrt(n! d!/(n+d)!) L_n^d(s), which gives l_0 = 1 and
     sqrt((n+1)(n+d+1)) l_{n+1} = (s - 2n - 1 - d) l_n - sqrt(n(n+d)) l_{n-1},
     then weighted by z^d/sqrt(d!), z = x - ip (as in Johansson, Nation, Nori,
-    Comput. Phys. Commun. 184, 1234 (2013)).
+    Comput. Phys. Commun. 184, 1234 (2013)). The recurrence runs once per distinct s,
+    and each diagonal's sum is gathered back to the points before the z^d factor.
     """
     dim = rho.shape[0]
     s = x**2 + p**2
+    su, inv = np.unique(s, return_inverse=True)
     z = x - 1j * p
     total = np.zeros_like(s)
     zd = np.ones_like(z)  # z^d / sqrt(d!)
     for d in range(dim):
-        if d:
-            zd *= z
-            zd /= np.sqrt(d)
-        prev = np.zeros_like(s)
-        cur = np.ones_like(s)
-        diag = np.full_like(zd, rho[d, 0])
+        if d:  # out of place, which numpy rounds the same for one point as for a grid
+            zd = zd * z / np.sqrt(d)
+        prev = np.zeros_like(su)
+        cur = np.ones_like(su)
+        diag = np.full(su.shape, rho[d, 0], dtype=complex)
         for n in range(dim - d - 1):
             prev *= -np.sqrt(n * (n + d))
-            prev += (s - (2 * n + 1 + d)) * cur
+            prev += (su - (2 * n + 1 + d)) * cur
             prev /= np.sqrt((n + 1) * (n + d + 1))
             prev, cur = cur, prev
             diag += rho[n + 1 + d, n + 1] * cur
-        total += (1.0 if d == 0 else 2.0) * (zd * diag).real
+        total += (1.0 if d == 0 else 2.0) * (zd * diag[inv]).real
     return (1 / (2 * np.pi)) * np.exp(-s / 2) * total
 
 
@@ -106,21 +106,11 @@ def negativity_min(grid: WignerGrid) -> float:
 
 def write_grid_csv(grid: WignerGrid, path) -> None:
     """CSV matrix: two header rows carrying the axes, then W rows (one per p)."""
-    with replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xs"] + [f"{v:.17g}" for v in grid.xs])
-        writer.writerow(["ps"] + [f"{v:.17g}" for v in grid.ps])
-        for row in grid.values:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def read_grid_csv(path) -> WignerGrid:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    xs = np.array([float(v) for v in rows[0][1:]])
-    ps = np.array([float(v) for v in rows[1][1:]])
-    values = np.array([[float(v) for v in row] for row in rows[2:]])
-    return WignerGrid(xs, ps, values)
+    xs, ps, values = (np.asarray(a, dtype=float) for a in (grid.xs, grid.ps, grid.values))
+    n_p, n_x = values.shape
+    head = "xs" + ",%.17g" * xs.size + "\r\nps" + ",%.17g" * ps.size + "\r\n"
+    fields = xs.tolist() + ps.tolist() + values.ravel().tolist()
+    write_csv(path, head, ",".join(["%.17g"] * n_x), n_p, fields)
 
 
 def grid_metadata(grid: WignerGrid, dim: int, descriptor: str) -> dict:

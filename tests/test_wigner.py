@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catprep.channels import loss_channel
 from catprep.fock import MixedState, basis_state
@@ -17,7 +19,6 @@ from catprep.wigner import (
     default_grid_axes,
     grid_metadata,
     negativity_min,
-    read_grid_csv,
     wigner_grid,
     wigner_point,
     write_grid_csv,
@@ -59,6 +60,52 @@ def test_parity_identity_at_origin():
         rho = random_density(12, seed)
         expected = INV_2PI * np.sum((-1.0) ** np.arange(12) * np.diag(rho).real)
         assert np.isclose(wigner_point(MixedState(rho), 0.0, 0.0), expected, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_parity_identity_at_origin_for_random_states(dim, seed):
+    rho = random_density(dim, seed)
+    expected = INV_2PI * np.sum((-1.0) ** np.arange(dim) * np.diag(rho).real)
+    assert np.isclose(wigner_point(MixedState(rho), 0.0, 0.0), expected, rtol=0, atol=1e-15)
+
+
+def assert_grid_matches_points(rho, xs, ps):
+    grid = wigner_grid(MixedState(rho), xs, ps)
+    points = [[wigner_point(MixedState(rho), x, p) for x in xs] for p in ps]
+    assert np.array_equal(grid.values, np.array(points))  # bitwise, not to a tolerance
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+       step=st.floats(0.05, 1.0), x_ends=st.tuples(st.integers(-6, 0), st.integers(0, 6)),
+       p_ends=st.tuples(st.integers(-6, 0), st.integers(0, 6)))
+def test_grid_equals_points_where_radii_repeat(dim, seed, step, x_ends, p_ends):
+    # integer multiples of one step: -k*step == -(k*step), so mirrored and
+    # swapped points share a radius, and the axes need not be symmetric
+    xs = step * np.arange(x_ends[0], x_ends[1] + 1)
+    ps = step * np.arange(p_ends[0], p_ends[1] + 1)
+    s = xs[None, :] ** 2 + ps[:, None] ** 2
+    assume(np.unique(s).size < s.size)
+    assert_grid_matches_points(random_density(dim, seed), xs, ps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+       xs=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=7, unique=True),
+       ps=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=7, unique=True))
+def test_grid_equals_points_where_no_radius_repeats(dim, seed, xs, ps):
+    xs, ps = np.sort(xs), np.sort(ps)
+    s = xs[None, :] ** 2 + ps[:, None] ** 2
+    assume(np.unique(s).size == s.size)
+    assert_grid_matches_points(random_density(dim, seed), xs, ps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       x=st.floats(-6.0, 6.0), p=st.floats(-6.0, 6.0))
+def test_one_point_grid_equals_point(dim, seed, x, p):
+    assert_grid_matches_points(random_density(dim, seed), np.array([x]), np.array([p]))
 
 
 @pytest.mark.parametrize(
@@ -214,6 +261,15 @@ def test_default_grid_axes_refuses_a_step_that_does_not_divide():
                          (-1.0, 1.0, np.nan)):
         with pytest.raises(ValueError):
             default_grid_axes(lo, hi, step)
+
+
+def read_grid_csv(path) -> WignerGrid:
+    """The grid of a file written by write_grid_csv: two axis rows, then the matrix."""
+    with open(path) as fh:
+        xs = np.array(fh.readline().split(",")[1:], dtype=float)
+        ps = np.array(fh.readline().split(",")[1:], dtype=float)
+        values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return WignerGrid(xs, ps, values)
 
 
 def test_grid_csv_round_trip(tmp_path):
