@@ -10,7 +10,7 @@ Conventions: truncated Fock space, quadratures in shot-noise units with
 X = a + a† (vacuum variance 1), fidelity F = <t|rho|t> against pure targets.
 """
 
-from .channels import loss_channel, loss_on_mode_a, phase_jitter
+from .channels import loss_channel, loss_on_mode_a
 from .fock import (
     MixedState,
     PureState,
@@ -99,7 +99,6 @@ __all__ = [
     "mle_reconstruct",
     "negativity_min",
     "partial_trace",
-    "phase_jitter",
     "photon_subtracted_sv",
     "purity",
     "sample_homodyne",

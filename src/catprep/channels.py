@@ -1,4 +1,11 @@
-"""Noise channels: photon loss (Kraus form) and Gaussian phase jitter."""
+"""Photon loss as a binomial map on each diagonal m - n of a matrix.
+
+Loss of transmission eta sends |n> to |n-k> with amplitude
+c_k(n) = sqrt(C(n, k) eta^(n-k) (1-eta)^k), so it maps rho[i+k, j+k] onto
+rho[i, j] with weight c_k(i+k) c_k(j+k): each diagonal of the matrix is
+mapped on its own, in O(dim^3) for the whole map. The map is exact in the
+truncated space because loss only lowers the photon number.
+"""
 
 from __future__ import annotations
 
@@ -9,74 +16,61 @@ import numpy as np
 from .fock import MixedState, TwoModeState, _as_density
 
 
-def loss_kraus(eta: float, dim: int) -> list[np.ndarray]:
-    """Kraus operators of the photon-loss channel with transmission eta.
-
-    K_k |n> = sqrt(C(n,k) eta^{n-k} (1-eta)^k) |n-k>. They satisfy
-    sum_k K_k^dag K_k = 1 exactly in the truncated space because loss only
-    lowers the photon number.
-    """
-    if not 0.0 <= eta <= 1.0:
+def _amplitudes(eta, dim: int) -> np.ndarray:
+    """c[..., k, n] = c_k(n), zero for n < k; eta's shape leads."""
+    eta = np.asarray(eta, dtype=float)[..., None, None]
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails too
         raise ValueError("eta must lie in [0, 1]")
-    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
-    kraus = []
+    log_fact = np.array([math.lgamma(m + 1) for m in range(dim)])  # log m!
+    n = np.arange(dim)
+    k = n[:, None]
+    kept = np.maximum(n - k, 0)
+    log_binom = log_fact[n] - log_fact[kept] - log_fact[k]
+    # power(0, 0) = 1 covers the eta = 0 and eta = 1 endpoints
+    return np.triu(np.exp(0.5 * log_binom) * np.power(eta, kept / 2) * (1 - eta) ** (k / 2))
+
+
+def loss(mat: np.ndarray, eta) -> np.ndarray:
+    """Photon loss Phi_eta(rho)[i, j] = sum_k c_k(i+k) c_k(j+k) rho[i+k, j+k].
+
+    mat has shape (..., dim, dim); eta is a number or an array that
+    broadcasts over the leading axes of mat.
+    """
+    dim = mat.shape[-1]
+    c = _amplitudes(eta, dim)
+    out = np.zeros(np.broadcast_shapes(c.shape[:-2], mat.shape[:-2]) + (dim, dim),
+                   dtype=np.result_type(mat, c))
     for k in range(dim):
-        ns = np.arange(k, dim)
-        log_binom = log_fact[ns] - log_fact[ns - k] - log_fact[k]
-        # power(0, 0) = 1 covers the eta = 0 and eta = 1 endpoints
-        coeff = np.exp(0.5 * log_binom) * np.power(eta, (ns - k) / 2) * (1 - eta) ** (k / 2)
-        mat = np.zeros((dim, dim))
-        mat[np.arange(dim - k), np.arange(k, dim)] = coeff
-        kraus.append(mat)
-    return kraus
-
-
-def apply_kraus(mat: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    """sum_k K_k mat K_k^dag."""
-    out = np.zeros_like(mat, dtype=complex)
-    for k in kraus:
-        out += k @ mat @ k.conj().T
+        ck = c[..., k, k:]
+        out[..., : dim - k, : dim - k] += ck[..., :, None] * ck[..., None, :] * mat[..., k:, k:]
     return out
 
 
-def apply_kraus_adjoint(mat: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    """Heisenberg-picture map sum_k K_k^dag mat K_k (used on measurement
-    operators to fold detection inefficiency into a POVM)."""
-    out = np.zeros_like(mat, dtype=complex)
-    for k in kraus:
-        out += k.conj().T @ mat @ k
+def loss_adjoint(mat: np.ndarray, eta) -> np.ndarray:
+    """Heisenberg-picture loss Phi_eta^dag(E)[i, j] = sum_k c_k(i) c_k(j) E[i-k, j-k],
+    which folds detection inefficiency into a measurement operator. Shapes as
+    for loss; at eta = 1 the map is exactly the identity (c_0 = 1, c_k = 0)."""
+    dim = mat.shape[-1]
+    c = _amplitudes(eta, dim)
+    out = np.zeros(np.broadcast_shapes(c.shape[:-2], mat.shape[:-2]) + (dim, dim),
+                   dtype=np.result_type(mat, c))
+    for k in range(dim):
+        ck = c[..., k, k:]
+        out[..., k:, k:] += ck[..., :, None] * ck[..., None, :] * mat[..., : dim - k, : dim - k]
     return out
 
 
 def loss_channel(state, eta: float) -> MixedState:
     """Photon-loss channel applied to a single-mode state."""
-    rho = _as_density(state)
-    out = apply_kraus(rho, loss_kraus(eta, rho.shape[0]))
-    out = 0.5 * (out + out.conj().T)
-    return MixedState(out)
+    out = loss(_as_density(state), eta)
+    return MixedState(0.5 * (out + out.conj().T))
 
 
 def loss_on_mode_a(state: TwoModeState, eta: float) -> TwoModeState:
     """Photon loss on mode A of a two-mode state, identity on mode B."""
     if eta == 1.0:
         return state
-    eye_b = np.eye(state.dim_b)
-    kraus = [np.kron(k, eye_b) for k in loss_kraus(eta, state.dim_a)]
-    out = apply_kraus(state.mat, kraus)
-    out = 0.5 * (out + out.conj().T)
-    return TwoModeState(out, state.dim_a, state.dim_b)
-
-
-def phase_jitter(state, sigma_rad: float) -> MixedState:
-    """Average over Gaussian phase-space rotations of rms size sigma_rad.
-
-    Coherences decay as rho_mn -> rho_mn exp(-sigma^2 (m-n)^2 / 2);
-    populations are untouched.
-    """
-    if sigma_rad < 0:
-        raise ValueError("sigma_rad must be nonnegative")
-    rho = _as_density(state)
-    n = np.arange(rho.shape[0])
-    dn = n[:, None] - n[None, :]
-    out = rho * np.exp(-0.5 * sigma_rad**2 * dn.astype(float) ** 2)
-    return MixedState(out)
+    da, db = state.dim_a, state.dim_b
+    blocks = state.mat.reshape(da, db, da, db).transpose(1, 3, 0, 2)  # [b, d, a, c]
+    out = loss(blocks, eta).transpose(2, 0, 3, 1).reshape(da * db, da * db)
+    return TwoModeState(0.5 * (out + out.conj().T), da, db)

@@ -165,10 +165,15 @@ def _float(node: dict, key: str, default: float) -> float:
     return value
 
 
-def _parse_resource(cfg: dict) -> ResourceParams:
+def _check_alpha(name: str, alpha: float, dim: int) -> None:
+    if not (alpha > 0 and alpha**2 < dim / 4):  # states.coherent's truncation bound
+        raise ConfigError(f"{name} must be positive and below sqrt(dim)/2 = {dim**0.5 / 2:g}")
+
+
+def _parse_resource(cfg: dict, dim: int) -> ResourceParams:
     node = _section(cfg, "resource")
     try:
-        return ResourceParams(
+        params = ResourceParams(
             model=node.get("model", ResourceParams.model),
             alpha=_float(node, "alpha", ResourceParams.alpha),
             squeezing_db=_float(node, "squeezing_db", ResourceParams.squeezing_db),
@@ -176,11 +181,9 @@ def _parse_resource(cfg: dict) -> ResourceParams:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"resource: {exc}") from exc
-
-
-def _check_alpha(name: str, alpha: float, dim: int) -> None:
-    if not (alpha > 0 and alpha**2 < dim / 4):  # states.coherent's truncation bound
-        raise ConfigError(f"{name} must be positive and below sqrt(dim)/2 = {dim**0.5 / 2:g}")
+    if params.model == "ideal":  # its cats are built at this alpha
+        _check_alpha("ideal resource alpha", params.alpha, dim)
+    return params
 
 
 def _parse_target(node, default_alpha: float, dim: int) -> TargetSpec:
@@ -216,7 +219,7 @@ def _parse_dim(cfg: dict) -> int:
 
 def cmd_scan(cfg: dict, out_dir) -> int:
     dim = _parse_dim(cfg)
-    params = _parse_resource(cfg)
+    params = _parse_resource(cfg, dim)
     theta = _float(cfg, "theta_rad", 0.0)
     q_grid = _parse_grid(cfg.get("q_grid_snu", {"start": -3.0, "stop": 3.0, "num": 121}), "q_grid_snu")
     targets = _parse_targets(cfg, params.alpha, dim)
@@ -290,7 +293,7 @@ def _parse_conditioning(cfg: dict, row: Table1Row | None) -> Conditioning:
 
 def cmd_prepare(cfg: dict, out_dir) -> int:
     dim = _parse_dim(cfg)
-    params = _parse_resource(cfg)
+    params = _parse_resource(cfg, dim)
     row = _parse_row(cfg)
     cond = _parse_conditioning(cfg, row)
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
@@ -373,7 +376,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
 
 def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     dim = _parse_dim(cfg)
-    params = _parse_resource(cfg)
+    params = _parse_resource(cfg, dim)
     if "truth" not in cfg:
         raise ConfigError("tomo: need a 'truth' target")
     truth_spec = _parse_target(cfg["truth"], params.alpha, dim)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_kraus_adjoint, loss_kraus
+from .channels import loss_adjoint
 from .fock import MixedState, PureState, TwoModeState, _as_density
 
 Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q| = 10
@@ -125,22 +125,20 @@ def gauss_legendre(lo, hi, n_nodes: int):
     return lo + half * (x + 1), half * w
 
 
-def acceptance_operator(dim: int, nodes, weights, theta: float, eta: float = 1.0) -> np.ndarray:
+def acceptance_operator(dim: int, nodes, weights, theta: float, eta=1.0) -> np.ndarray:
     """Measurement operator of a lossy homodyne detector accepting a range of
     quadrature values, E = Phi_eta^dag(sum_j w_j |q_j,theta><q_j,theta|).
 
     Phi_eta is photon loss of transmission eta in front of an ideal detector;
-    its adjoint moves the loss into the operator. nodes and weights have
-    shape (..., n_nodes); the leading axes give a stack of operators of shape
-    (..., dim, dim).
+    channels.loss_adjoint moves the loss into the operator. nodes and weights
+    have shape (..., n_nodes); the leading axes give a stack of operators of
+    shape (..., dim, dim), and eta may be an array that broadcasts over them.
     """
     nodes = np.asarray(nodes, dtype=float)
     psi = quad_wavefunctions(dim, nodes.ravel()).T.reshape(*nodes.shape, dim)
     ov = np.exp(1j * theta * np.arange(dim)) * psi  # <q_j,theta|n>
     op = np.swapaxes(ov.conj() * np.asarray(weights)[..., None], -1, -2) @ ov
-    if eta != 1.0:
-        op = apply_kraus_adjoint(op, loss_kraus(eta, dim))
-    return op
+    return loss_adjoint(op, eta)
 
 
 def conditioning_operator(dim: int, c: Conditioning) -> np.ndarray:

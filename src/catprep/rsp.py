@@ -139,9 +139,10 @@ def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets,
 def fidelity_vs_eta(resource: TwoModeState, q: float, theta_rad: float, eta_grid,
                     target: TargetSpec) -> list[dict]:
     """Point-conditioned fidelity as the heralding-path efficiency varies."""
-    ops = [conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0, eta))
-           for eta in eta_grid]
-    return _scan(resource, eta_grid, ops, [target])
+    etas = np.asarray(eta_grid, dtype=float)
+    ops = acceptance_operator(resource.dim_a, np.full((etas.size, 1), q), np.ones(1),
+                              theta_rad, etas)
+    return _scan(resource, etas, ops, [target])
 
 
 def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_grid,

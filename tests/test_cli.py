@@ -314,6 +314,14 @@ def test_tomo_config_errors(tmp_path):
         ("prepare", {**PREP_DOC, "targets": [{"kind": "cat_minus", "alpha": 3.0}]}),
         ("scan", {**SCAN_DOC, "eta_scan": [{"target": {"kind": "coherent_plus", "alpha": 2.5}}]}),
         ("tomo", {**TOMO_DOC, "truth": {"kind": "cat_minus", "alpha": 3.0}}),
+        ("scan", {**SCAN_DOC, "resource": {"model": "ideal", "alpha": 3.0},
+                  "targets": [{"kind": "cat_minus", "alpha": 0.7}],
+                  "eta_scan": [{"target": {"kind": "cat_minus", "alpha": 0.7}}],
+                  "delta_scan": {"target": {"kind": "cat_minus", "alpha": 0.7}}}),
+        ("prepare", {**PREP_DOC, "resource": {"model": "ideal", "alpha": 3.0},
+                     "targets": [{"kind": "cat_minus", "alpha": 0.7}], "bloch_alpha": 0.7}),
+        ("tomo", {**TOMO_DOC, "resource": {"model": "ideal", "alpha": 3.0},
+                  "truth": {"kind": "cat_minus", "alpha": 0.7}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
@@ -324,7 +332,10 @@ def test_tomo_config_errors(tmp_path):
          "wigner_step_not_dividing", "dim_recon_above_dim", "bloch_alpha_zero",
          "bloch_alpha_negative", "bloch_alpha_at_truncation_bound", "tail_negative_q",
          "tail_text", "target_alpha_above_truncation_bound",
-         "scan_target_alpha_at_truncation_bound", "truth_alpha_above_truncation_bound"],
+         "scan_target_alpha_at_truncation_bound", "truth_alpha_above_truncation_bound",
+         "scan_ideal_resource_alpha_above_truncation_bound",
+         "prepare_ideal_resource_alpha_above_truncation_bound",
+         "tomo_ideal_resource_alpha_above_truncation_bound"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)

@@ -149,12 +149,21 @@ def test_acceptance_success_matches_gaussian_oracle(q_center, delta, eta, w, tai
     _check_acceptance_oracle(abs(q_center) if tail else q_center, delta, eta, w, tail)
 
 
-def test_window_success_matches_marginal_integral():
-    # joint-picture success equals the window integral of Alice's marginal
+@settings(max_examples=30, deadline=None)
+@given(
+    theta=st.floats(0.0, 2 * np.pi),
+    q_center=st.floats(-3.0, 3.0),
+    delta=st.floats(0.01, 1.0),
+    eta_a=st.floats(0.0, 1.0),
+)
+@example(theta=0.4, q_center=0.6, delta=0.3, eta_a=0.8)
+def test_window_success_matches_marginal_integral(theta, q_center, delta, eta_a):
+    # joint-picture success (loss folded into the operator) equals the window
+    # integral of Alice's marginal after loss on her mode
     from scipy.special import roots_legendre
 
     res = hybrid_entangled(ResourceParams(weight_dv=0.35), dim_b=30)
-    c = Conditioning(theta_rad=0.4, q_center=0.6, delta=0.3, eta_a=0.8)
+    c = Conditioning(theta_rad=theta, q_center=q_center, delta=delta, eta_a=eta_a)
     prep = condition(res, c)
     ra = partial_trace(loss_on_mode_a(res, c.eta_a), keep="a")
     x, wts = roots_legendre(40)
