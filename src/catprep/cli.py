@@ -50,7 +50,7 @@ from .wigner import (
     grid_metadata,
     negativity_min,
     wigner_grid,
-    wigner_point,
+    wigner_origin,
     write_grid_csv,
 )
 
@@ -359,7 +359,7 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     grid = wigner_grid(prep.rho, *axes)
     write_grid_csv(grid, out_dir / "wigner.csv")
     meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
-    meta["w_origin"] = wigner_point(prep.rho, 0.0, 0.0)
+    meta["w_origin"] = wigner_origin(prep.rho)
     meta["negativity_min"] = negativity_min(grid)
     write_json(meta, out_dir / "wigner.json")
 
@@ -423,7 +423,7 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     )
 
     fid = fidelity_to_truth(result.state, truth)
-    w_origin = wigner_point(result.state, 0.0, 0.0)
+    w_origin = wigner_origin(result.state)
     report = {
         "truth": {"kind": truth_spec.kind, "alpha": truth_spec.alpha},
         "n_samples": n_samples,

@@ -9,7 +9,7 @@ recovered state refers to the field before detection loss), and maximises
 the likelihood by accelerated projected gradient over density matrices.
 Loss commutes with phase rotations, so the elements of every phase follow
 from the theta = 0 set and a table of phase factors: the bin probabilities
-and the gradient are each two small real matrix products.
+and the gradient are each two small real matrix products over populated bins.
 """
 
 from __future__ import annotations
@@ -110,14 +110,11 @@ def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: in
 def write_records(records, path) -> None:
     """CSV with header theta_rad,q, 17 significant digits and CRLF line ends."""
     thetas, qs = _record_arrays(records)
-    values = np.column_stack((thetas, qs)).ravel().tolist()
-    write_csv(path, "theta_rad,q\r\n", "%.17g,%.17g", thetas.size, values)
-
-
-def read_records(path) -> tuple[np.ndarray, np.ndarray]:
-    """The (thetas, qs) pair from a file written by write_records."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0].copy(), data[:, 1].copy()
+    # each distinct theta is formatted once, told apart by bit pattern so -0.0 keeps its sign
+    _, first, inv = np.unique(thetas.view(np.int64), return_index=True, return_inverse=True)
+    labels = np.array(["%.17g" % t for t in thetas[first].tolist()], dtype=object)
+    fields = np.column_stack((labels[inv], qs.astype(object))).ravel()
+    write_csv(path, "theta_rad,q\r\n", "%s,%.17g", thetas.size, fields)
 
 
 def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -144,18 +141,11 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
     return bins.reshape(-1, dim * dim), phases.reshape(-1, dim * dim)
 
 
-def build_povm(cfg: TomoConfig) -> np.ndarray:
-    """POVM elements Pi_{k,b}, shape (n_phases * (n_bins + 1), dim, dim),
-    phase-major, from the factored form of _povm_factors."""
-    bins, phases = _povm_factors(cfg)
-    return (phases[:, None] * bins).reshape(-1, cfg.dim_recon, cfg.dim_recon)
-
-
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:
-    """Counts aligned with build_povm ordering. Bin b of a phase holds
+    """Counts per POVM element, phase-major, n_bins + 1 per phase. Bin b holds
     floor((q + q_max) / bin_width) = b for 0 <= b < n_bins; everything else
-    goes to the phase's overflow element. Unknown phases and non-finite q
-    are an error."""
+    goes to the phase's overflow element, the last. Unknown phases and
+    non-finite q are an error."""
     thetas, qs = _record_arrays(records)
     keys = np.round(np.asarray(cfg.phase_set, dtype=float), 12)
     order = np.argsort(keys, kind="stable")  # a repeated phase maps to its last index
@@ -182,20 +172,20 @@ class ReconResult:
 
 
 def _frequencies_ll(freqs, probs) -> float:
-    active = freqs > 0
-    if np.any(probs[active] <= 0):
+    """sum_j f_j log p_j over populated bins only (all f_j > 0); -inf if a p_j <= 0."""
+    if (probs <= 0).any():
         return -np.inf
-    return float(np.sum(freqs[active] * np.log(probs[active])))
+    return float((freqs * np.log(probs)).sum())
 
 
 def _probabilities(rho, bins, phases) -> np.ndarray:
-    """Tr[Pi_{k,b} rho] in build_povm order, flattened:
+    """Tr[Pi_{k,b} rho] for each phase k and row b of bins, phase-major and flattened:
     sum_mn P_b[m, n] Re(e^{-i theta_k (m - n)} rho[n, m])."""
     return ((phases * rho.T.ravel()).real @ bins.T).ravel()
 
 
 def _r_operator(weights, bins, phases) -> np.ndarray:
-    """sum_j w_j Pi_j for real weights in build_povm order, the adjoint of
+    """sum_j w_j Pi_j for real weights in _probabilities order, the adjoint of
     _probabilities: sum_k e^{-i theta_k (m - n)} (w_k @ P)[m, n]."""
     dim = round(np.sqrt(bins.shape[1]))
     return np.sum(phases * (weights.reshape(len(phases), -1) @ bins), axis=0).reshape(dim, dim)
@@ -221,7 +211,8 @@ def log_likelihood(state, records, cfg: TomoConfig) -> float:
     rho = _as_density(state)
     if rho.shape[0] != cfg.dim_recon:
         raise ValueError("state dimension must match dim_recon")
-    return _frequencies_ll(freqs, _probabilities(rho, *_povm_factors(cfg)))
+    active = freqs > 0
+    return _frequencies_ll(freqs[active], _probabilities(rho, *_povm_factors(cfg))[active])
 
 
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
@@ -231,14 +222,15 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
 
     The gradient of the log likelihood LL is R = sum_j (f_j / p_j) Pi_j over
     populated bins, built from the factored POVM, so no iteration touches the
-    full per-phase stack. A step moves from the extrapolated point sigma
-    along R and projects onto density matrices; its length halves until the
-    quadratic bound holds, and grows by STEP_GROWTH after it is accepted.
-    Nesterov momentum moves sigma past the last iterate; it restarts from the
-    iterate when a step lowers LL or sigma gives a populated bin a probability
-    <= 0. So the accepted iterates never lower LL: a step from an accepted
-    iterate that lowers it beyond LL_SLACK, backtracking that runs out, or a
-    NaN raises ValueError.
+    full per-phase stack, nor the bins that no phase populates (about half;
+    the overflow element is built before they go and keeps their mass). A
+    step moves from the extrapolated point sigma along R and projects onto
+    density matrices; its length halves until the quadratic bound holds, and
+    grows by STEP_GROWTH after it is accepted. Nesterov momentum moves sigma
+    past the last iterate; it restarts from the iterate when a step lowers LL
+    or sigma gives a populated bin a probability <= 0. So the accepted
+    iterates never lower LL: a step from an accepted iterate that lowers it
+    beyond LL_SLACK, backtracking that runs out, or a NaN raises ValueError.
 
     Converged when a step gains less than tol and the gap lambda_max(R) - 1
     is at most GAP_TOL. The gap bounds LL* - LL, since LL is concave and
@@ -246,24 +238,25 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     coherent targets. Otherwise stops after max_iters.
     """
     counts = bin_records(records, cfg)
-    if counts.sum() == 0:
-        raise ValueError("records must be non-empty")
-    freqs = counts / counts.sum()
+    if np.count_nonzero(counts) < 2:  # none, or all in one bin
+        raise ValueError("records must fall into at least two bins to reconstruct")
+    freqs = (counts / counts.sum()).reshape(len(cfg.phase_set), -1)
+    populated = freqs.any(axis=0)
+    freqs = freqs[:, populated].ravel()
     active = np.flatnonzero(freqs)
-    if active.size == 1:
-        raise ValueError("all records fell into a single bin; cannot reconstruct")
     f_act = freqs[active]
     bins, phases = _povm_factors(cfg)
+    bins = bins[populated]
     weights = np.zeros(freqs.size)
 
     def probabilities(rho):
         return _probabilities(rho, bins, phases)[active]
 
     def ll_of(probs):
-        return _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
+        return _frequencies_ll(f_act, np.maximum(probs, P_FLOOR))
 
     def gradient(probs):
-        weights[active] = f_act / np.clip(probs, P_FLOOR, None)
+        weights[active] = f_act / np.maximum(probs, P_FLOOR)
         return _r_operator(weights, bins, phases)
 
     def gap(probs):
@@ -302,9 +295,9 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
         sigma_probs = cand_probs + c * (cand_probs - probs)  # p is linear in rho
         if sigma_probs.min() > 0:
             sigma, momentum = (cand + c * (cand - rho) if c else cand), next_momentum
+            sigma_ll = ll_of(sigma_probs)
         else:  # sigma would leave the likelihood's domain
-            sigma, sigma_probs, momentum = cand, cand_probs, 1.0
-        sigma_ll = ll_of(sigma_probs)
+            sigma, sigma_probs, sigma_ll, momentum = cand, cand_probs, cand_ll, 1.0
         gain = cand_ll - ll
         rho, probs, ll = cand, cand_probs, cand_ll
         step *= STEP_GROWTH

@@ -90,6 +90,13 @@ def wigner_point(state, x: float, p: float) -> float:
     return float(_wigner(_as_density(state), xs, ps)[0])
 
 
+def wigner_origin(state) -> float:
+    """W(0, 0) = Tr[rho (-1)^n] / (2 pi), summed in order of n as _wigner sums
+    it at s = 0, so it equals a grid's origin bit for bit."""
+    diag = np.diagonal(_as_density(state)).real
+    return float((1 / (2 * np.pi)) * np.cumsum(diag * (-1.0) ** np.arange(diag.size))[-1])
+
+
 def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     """Evaluate W on the outer product of the axes xs and ps (by default
     those of default_grid_axes)."""

@@ -2,7 +2,7 @@ import csv
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catprep import tomography
@@ -49,6 +49,12 @@ def test_scan_csv_bytes_match_csv_writer(tmp_path_factory, rows):
 
 @settings(max_examples=60, deadline=None)
 @given(pairs=st.lists(st.tuples(FLOATS, FLOATS), max_size=20))
+# write_records formats each distinct theta once: 0.0 and -0.0 must keep their own text
+@example(pairs=[(0.0, 1.0), (-0.0, 2.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, 0.5), (0.0, 0.25)])
+@example(pairs=[(-0.0, 1.0), (0.0, 2.0), (-0.0, 3.0)])
+@example(pairs=[(t, 0.1 * k) for k, t in enumerate(
+    (0.0, -0.0, 5e-324, -5e-324, 0.1, 1 / 3, -1e308, 1.7976931348623157e308,
+     float("inf"), float("-inf"), float("nan"), 2.0**60))])  # every theta distinct
 def test_records_csv_bytes_match_csv_writer(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("records") / "records.csv"
     thetas, qs = [a for a, _ in pairs], [q for _, q in pairs]

@@ -18,15 +18,15 @@ from catprep.tomography import (
     _project_density,
     _r_operator,
     bin_records,
-    build_povm,
     default_phase_set,
     fidelity_to_truth,
     log_likelihood,
     mle_reconstruct,
-    read_records,
     sample_homodyne,
     write_records,
 )
+
+from oracles import build_povm, read_records
 
 FROZEN_SEED = 4  # representative seed for the statistical round-trip tests
 
@@ -377,3 +377,48 @@ def test_density_projection(dim, seed, scale, shift):
     for k in range(3):
         sigma = random_density(dim, seed + k)
         assert np.vdot(h - p, sigma - p).real <= 1e-12
+
+
+def full_povm_gap(state, records, cfg):
+    """lambda_max(R) - 1 with R = sum_j (f_j / p_j) Pi_j over populated bins of the full stack."""
+    counts = bin_records(records, cfg)
+    freqs = counts / counts.sum()
+    active = freqs > 0
+    povm = build_povm(cfg)[active]
+    probs = np.einsum("jab,ba->j", povm, state.mat).real
+    r = np.einsum("j,jab->ab", freqs[active] / np.clip(probs, P_FLOOR, None), povm)
+    return np.linalg.eigvalsh(r)[-1] - 1
+
+
+def single_phase_bin_records():
+    """Records on three phases over the same central bins, plus one record in a
+    fringe bin that only the last phase populates and one in the overflow
+    element of the middle phase."""
+    phases = default_phase_set(3)
+    qs = np.linspace(-1.45, 1.45, 59)
+    thetas = np.repeat(phases, qs.size)
+    return np.append(thetas, [phases[2], phases[1]]), np.append(np.tile(qs, 3), [2.33, 5.0])
+
+
+@pytest.mark.parametrize("case", ["coherent_plus", "single_phase_bin"])
+def test_mle_on_populated_columns_matches_full_povm(case):
+    # the MLE drops bin columns that no phase populates; its likelihood and
+    # gap must still be those of the full POVM stack
+    if case == "coherent_plus":
+        truth = target_state(TargetSpec(kind="coherent_plus", alpha=0.7), 30)
+        records = sample_homodyne(truth, default_phase_set(), 50_000, eta=0.85, seed=FROZEN_SEED)
+        cfg = TomoConfig(eta_correction=0.85)
+    else:
+        records = single_phase_bin_records()
+        cfg = TomoConfig(dim_recon=6, phase_set=default_phase_set(3), bin_width=0.5, q_max=4.0)
+    counts = bin_records(records, cfg).reshape(len(cfg.phase_set), -1)
+    populated = counts.any(axis=0)
+    assert 0 < populated.sum() < populated.size  # the fringes are empty in every phase
+    if case == "single_phase_bin":
+        assert np.count_nonzero(counts > 0, axis=0).tolist().count(1) == 2
+    result = mle_reconstruct(records, cfg)
+    assert result.converged
+    full_ll = log_likelihood(result.state, records, cfg)
+    assert result.log_likelihood == pytest.approx(full_ll, rel=1e-12, abs=0)
+    assert result.optimality_gap == pytest.approx(full_povm_gap(result.state, records, cfg),
+                                                  rel=0, abs=1e-10)

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catprep.channels import loss_channel
-from catprep.fock import MixedState, basis_state
+from catprep.fock import MixedState, PureState, basis_state
 from catprep.homodyne import (
     Conditioning,
     condition,
@@ -20,6 +20,7 @@ from catprep.wigner import (
     grid_metadata,
     negativity_min,
     wigner_grid,
+    wigner_origin,
     wigner_point,
     write_grid_csv,
 )
@@ -68,6 +69,16 @@ def test_parity_identity_at_origin_for_random_states(dim, seed):
     rho = random_density(dim, seed)
     expected = INV_2PI * np.sum((-1.0) ** np.arange(dim) * np.diag(rho).real)
     assert np.isclose(wigner_point(MixedState(rho), 0.0, 0.0), expected, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+def test_origin_from_parity_matches_kernel(dim, seed, pure):
+    rho = random_density(dim, seed)
+    state = PureState(np.linalg.eigh(rho)[1][:, -1]) if pure else MixedState(rho)
+    got = wigner_origin(state)
+    assert np.isclose(got, wigner_point(state, 0.0, 0.0), rtol=0, atol=1e-15)
+    assert got == wigner_grid(state, [0.0], [0.0]).values[0, 0]  # summed in the kernel's order
 
 
 def assert_grid_matches_points(rho, xs, ps):
