@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .fock import MixedState, TwoModeState, _as_density
+from .fock import MixedState, _as_density
 
 
 def _amplitudes(eta, dim: int) -> np.ndarray:
@@ -65,12 +65,3 @@ def loss_channel(state, eta: float) -> MixedState:
     out = loss(_as_density(state), eta)
     return MixedState(0.5 * (out + out.conj().T))
 
-
-def loss_on_mode_a(state: TwoModeState, eta: float) -> TwoModeState:
-    """Photon loss on mode A of a two-mode state, identity on mode B."""
-    if eta == 1.0:
-        return state
-    da, db = state.dim_a, state.dim_b
-    blocks = state.mat.reshape(da, db, da, db).transpose(1, 3, 0, 2)  # [b, d, a, c]
-    out = loss(blocks, eta).transpose(2, 0, 3, 1).reshape(da * db, da * db)
-    return TwoModeState(0.5 * (out + out.conj().T), da, db)

@@ -33,7 +33,7 @@ from .rsp import (
     heralded_rate,
     target_state,
 )
-from .states import ResourceParams, hybrid_entangled
+from .states import ResourceParams, hybrid_entangled, within_truncation
 from .tomography import (
     TomoConfig,
     default_phase_set,
@@ -166,7 +166,7 @@ def _float(node: dict, key: str, default: float) -> float:
 
 
 def _check_alpha(name: str, alpha: float, dim: int) -> None:
-    if not (alpha > 0 and alpha**2 < dim / 4):  # states.coherent's truncation bound
+    if not (alpha > 0 and within_truncation(alpha, dim)):
         raise ConfigError(f"{name} must be positive and below sqrt(dim)/2 = {dim**0.5 / 2:g}")
 
 

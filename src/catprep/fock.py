@@ -137,31 +137,12 @@ def annihilate(state: PureState) -> np.ndarray:
     return out
 
 
-def create(state: PureState) -> np.ndarray:
-    """Apply the raising operator a^dag, dropping the component that would
-    leave the truncated space. Returns raw unnormalized amplitudes."""
-    out = np.zeros(state.dim, dtype=complex)
-    n = np.arange(1, state.dim)
-    out[1:] = np.sqrt(n) * state.amps[:-1]
-    return out
-
-
 def _as_density(state) -> np.ndarray:
     if isinstance(state, PureState):
         return np.outer(state.amps, state.amps.conj())
     if isinstance(state, MixedState):
         return state.mat
     raise TypeError(f"expected PureState or MixedState, got {type(state).__name__}")
-
-
-def tensor(state_a, state_b) -> TwoModeState:
-    """Tensor product A (x) B as a TwoModeState (pure inputs are promoted)."""
-    if isinstance(state_a, PureState) and isinstance(state_b, PureState):
-        vec = np.kron(state_a.amps, state_b.amps)
-        return TwoModeState.from_pure(vec, state_a.dim, state_b.dim)
-    rho_a = _as_density(state_a)
-    rho_b = _as_density(state_b)
-    return TwoModeState(np.kron(rho_a, rho_b), rho_a.shape[0], rho_b.shape[0])
 
 
 def partial_trace(state: TwoModeState, keep: str) -> MixedState:

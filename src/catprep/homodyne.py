@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import loss_adjoint
-from .fock import MixedState, PureState, TwoModeState, _as_density
+from .fock import MixedState, TwoModeState, _as_density
 
 Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q| = 10
 WINDOW_NODES = 21  # Gauss-Legendre nodes across an acceptance window
@@ -38,12 +38,6 @@ def quad_wavefunctions(dim: int, q) -> np.ndarray:
     for n in range(1, dim - 1):
         psi[n + 1] = (q * psi[n] - np.sqrt(n) * psi[n - 1]) / np.sqrt(n + 1)
     return psi
-
-
-def quad_overlaps(dim: int, q: float, theta: float) -> np.ndarray:
-    """Vector of overlaps <q_theta|n> = e^{i n theta} psi_n(q)."""
-    psi = quad_wavefunctions(dim, q)[:, 0]
-    return np.exp(1j * theta * np.arange(dim)) * psi
 
 
 def marginal_pdf(state, theta, q) -> np.ndarray:
@@ -170,12 +164,3 @@ def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
     return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success,
                          c.delta == 0.0 and not c.tail)
 
-
-def closed_form_state(
-    q: float, theta_rad: float, cv_minus: PureState, cv_plus: PureState
-) -> PureState:
-    """Conditional state of the balanced resource in the point-projection
-    limit: (|cv-> + q e^{i theta} |cv+>) / sqrt(1 + q^2) for orthonormal
-    branch states (renormalized numerically in general)."""
-    amps = cv_minus.amps + q * np.exp(1j * theta_rad) * cv_plus.amps
-    return PureState.from_amplitudes(amps)

@@ -218,9 +218,9 @@ def bloch_embed(state, alpha: float) -> BlochCoords:
     )
 
 
-def heralded_rate(success_prob: float, base_rate_hz: float = BASE_HERALD_RATE_HZ) -> float:
-    """Preparation rate in Hz: acceptance probability times the base rate."""
-    if success_prob < 0 or base_rate_hz < 0:
-        raise ValueError("inputs must be nonnegative")
-    return success_prob * base_rate_hz
+def heralded_rate(success_prob: float) -> float:
+    """Preparation rate in Hz: acceptance probability times BASE_HERALD_RATE_HZ."""
+    if success_prob < 0:
+        raise ValueError("success_prob must be nonnegative")
+    return success_prob * BASE_HERALD_RATE_HZ
 

@@ -11,12 +11,18 @@ import numpy as np
 from .fock import PureState, TwoModeState, annihilate
 
 
+def within_truncation(alpha: complex, dim: int) -> bool:
+    """|alpha|^2 < dim/4: a coherent state this small has a negligible tail
+    beyond a dim-level truncation (False for NaN)."""
+    return abs(alpha) ** 2 < dim / 4
+
+
 def coherent(alpha: complex, dim: int) -> PureState:
     """Coherent state |alpha>, renormalized after truncation.
 
-    Requires |alpha|^2 < dim/4 so the truncated tail is negligible.
+    Requires within_truncation(alpha, dim).
     """
-    if abs(alpha) ** 2 >= dim / 4:
+    if not within_truncation(alpha, dim):
         raise ValueError(f"|alpha|^2 = {abs(alpha)**2:.3f} too large for dim {dim} (need < dim/4)")
     n = np.arange(dim)
     log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
@@ -106,30 +112,27 @@ def cv_pair(params: ResourceParams, dim: int) -> tuple[PureState, PureState]:
     )
 
 
-def hybrid_entangled(params: ResourceParams, dim_a: int = 2, dim_b: int = 30) -> TwoModeState:
+def hybrid_entangled(params: ResourceParams, dim_b: int = 30) -> TwoModeState:
     """sqrt(1-w)|0>(x)|CV-> + sqrt(w)|1>(x)|CV+>, w = weight_dv.
 
-    Mode A is the single-rail qubit (dim_a >= 2), mode B the CV mode.
+    Mode A is the two-level single-rail qubit, mode B the CV mode.
     """
-    if dim_a < 2:
-        raise ValueError("dim_a must be at least 2")
     cv_minus, cv_plus = cv_pair(params, dim_b)
     w = params.weight_dv
-    vec = np.zeros(dim_a * dim_b, dtype=complex)
-    vec[:dim_b] = np.sqrt(1 - w) * cv_minus.amps
-    vec[dim_b : 2 * dim_b] = np.sqrt(w) * cv_plus.amps
-    return TwoModeState.from_pure(vec, dim_a, dim_b)
+    vec = np.concatenate([np.sqrt(1 - w) * cv_minus.amps, np.sqrt(w) * cv_plus.amps])
+    return TwoModeState.from_pure(vec, 2, dim_b)
 
 
-def effective_alpha(state: PureState, parity: str, alpha_max: float = 2.0) -> tuple[float, float]:
+def effective_alpha(state: PureState, parity: str) -> tuple[float, float]:
     """Best-fit cat size: argmax over alpha of F(state, cat(alpha, parity)).
 
-    Coarse grid then golden-section refinement. Returns (alpha_eff, fidelity).
+    Coarse grid on [0.05, 2] then golden-section refinement. Returns
+    (alpha_eff, fidelity).
     """
     def neg_f(a):
         return -abs(np.vdot(cat(a, parity, state.dim).amps, state.amps)) ** 2
 
-    grid = np.linspace(0.05, alpha_max, 80)
+    grid = np.linspace(0.05, 2.0, 80)
     vals = [neg_f(a) for a in grid]
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]

@@ -97,12 +97,10 @@ def wigner_origin(state) -> float:
     return float((1 / (2 * np.pi)) * np.cumsum(diag * (-1.0) ** np.arange(diag.size))[-1])
 
 
-def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
-    """Evaluate W on the outer product of the axes xs and ps (by default
-    those of default_grid_axes)."""
-    dx, dp = default_grid_axes()
-    xs = dx if xs is None else np.asarray(xs, dtype=float)
-    ps = dp if ps is None else np.asarray(ps, dtype=float)
+def wigner_grid(state, xs, ps) -> WignerGrid:
+    """Evaluate W on the outer product of the axes xs and ps."""
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
     xg, pg = np.meshgrid(xs, ps)
     return WignerGrid(xs, ps, _wigner(_as_density(state), xg.ravel(), pg.ravel()).reshape(pg.shape))
 

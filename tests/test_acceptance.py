@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from catprep.fock import basis_state, fidelity
-from catprep.homodyne import Conditioning, closed_form_state, condition
+from catprep.homodyne import Conditioning, condition
 from catprep.rsp import (
     DEFAULT_TARGETS,
     TargetSpec,
@@ -33,6 +33,7 @@ from catprep.tomography import (
     sample_homodyne,
 )
 from catprep.wigner import wigner_point
+from oracles import closed_form_state
 
 # representative sampling seed; the reconstruction fidelity estimator has a
 # seed-to-seed spread of about +-0.004 at 50k samples, so the seed is pinned

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprep.channels import loss, loss_adjoint, loss_channel, loss_on_mode_a
+from catprep.channels import loss, loss_adjoint, loss_channel
 from catprep.fock import MixedState, basis_state, fidelity, mean_photon_number, partial_trace
 from catprep.states import ResourceParams, coherent, hybrid_entangled
+from oracles import loss_on_mode_a
 
 
 def random_density(dim, seed):

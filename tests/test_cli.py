@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -230,12 +232,28 @@ def test_tomo_outputs(tmp_path):
     assert report["fidelity_recon_truth"] > 0.9
 
 
+README = Path(catprep.__file__).resolve().parents[2] / "README.md"
+
+
 def readme_tomo_config():
     """The tomo config document shown in the README."""
-    text = (Path(catprep.__file__).resolve().parents[2] / "README.md").read_text()
+    text = README.read_text()
     blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
     (doc,) = [json.loads(b) for b in blocks if '"truth"' in b]
     return doc
+
+
+def test_readme_cites_only_names_that_exist():
+    # each catprep.<module>.<name> in the README is importable from that module,
+    # so a name that moves or goes cannot stay cited
+    cited = sorted(set(re.findall(r"\bcatprep(?:\.\w+)+", README.read_text())))
+    assert cited
+    for dotted in cited:
+        _, module, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"catprep.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), dotted
+            obj = getattr(obj, attr)
 
 
 @pytest.mark.parametrize("seed", [11, 13])

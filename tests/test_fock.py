@@ -7,12 +7,10 @@ from catprep.fock import (
     TwoModeState,
     annihilate,
     basis_state,
-    create,
     fidelity,
     mean_photon_number,
     partial_trace,
     purity,
-    tensor,
 )
 
 
@@ -83,15 +81,10 @@ def test_annihilate_norm_is_mean_photon_number():
     assert np.isclose(np.linalg.norm(annihilate(s)) ** 2, mean_photon_number(s))
 
 
-def test_create_ladder():
-    out = create(basis_state(2, 8))
-    assert np.isclose(out[3], np.sqrt(3))
-
-
 def test_tensor_and_partial_trace_product_state():
     a = random_pure(3, seed=1)
     b = random_pure(4, seed=2)
-    joint = tensor(a, b)
+    joint = TwoModeState(np.kron(a.density().mat, b.density().mat), 3, 4)
     assert joint.dim_a == 3 and joint.dim_b == 4
     ra = partial_trace(joint, keep="a")
     rb = partial_trace(joint, keep="b")

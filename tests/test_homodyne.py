@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,18 +7,17 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.stats import norm
 
-from catprep.channels import loss_channel, loss_on_mode_a
+from catprep.channels import loss_channel
 from catprep.fock import MixedState, basis_state, fidelity, partial_trace
 from catprep.homodyne import (
     Q_SUPPORT,
     Conditioning,
-    closed_form_state,
     condition,
     marginal_pdf,
-    quad_overlaps,
     quad_wavefunctions,
 )
 from catprep.states import ResourceParams, cat, coherent, cv_pair, hybrid_entangled, squeezed_vacuum
+from oracles import closed_form_state, loss_on_mode_a, quad_overlaps
 
 
 def random_density(dim, seed):
@@ -221,6 +222,34 @@ def test_sign_flip_equals_phase_shift():
         b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center=q, delta=0.0)).rho
         overlap = np.trace(a.mat @ b.mat).real  # both pure
         assert overlap > 1 - 1e-9
+
+
+@functools.cache
+def _resource(model, weight_dv):
+    return hybrid_entangled(ResourceParams(model=model, weight_dv=weight_dv), dim_b=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["ideal", "experimental"]),
+    weight_dv=st.sampled_from([0.35, 0.5]),
+    theta=st.floats(0.0, 2 * np.pi),
+    q=st.floats(-3.0, 3.0),
+    delta=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    eta_a=st.floats(0.0, 1.0),
+)
+@example(model="ideal", weight_dv=0.5, theta=0.0, q=1.3, delta=0.0, eta_a=1.0)
+@example(model="experimental", weight_dv=0.5, theta=np.pi / 4, q=0.6, delta=0.2, eta_a=1.0)
+@example(model="experimental", weight_dv=0.35, theta=2.0, q=-1.1, delta=0.3, eta_a=0.7)
+def test_sign_flip_equals_phase_shift_everywhere(model, weight_dv, theta, q, delta, eta_a):
+    # Table 1 rows 5 and 6 herald at -q: conditioning on -q at theta must equal
+    # conditioning on q at theta + pi for points, windows and heralding loss
+    res = _resource(model, weight_dv)
+    a = condition(res, Conditioning(theta_rad=theta, q_center=-q, delta=delta, eta_a=eta_a))
+    b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center=q, delta=delta, eta_a=eta_a))
+    assert np.max(np.abs(a.rho.mat - b.rho.mat)) <= 1e-12
+    assert abs(a.success_prob - b.success_prob) <= 1e-12 * b.success_prob
+    assert a.success_is_density == b.success_is_density
 
 
 def test_loss_before_projection_degrades_fidelity():

@@ -284,7 +284,6 @@ def test_conditioned_azimuth_tracks_phase():
 def test_heralded_rate():
     assert heralded_rate(0.0) == 0.0
     assert np.isclose(heralded_rate(0.05), 10_000.0)
-    assert np.isclose(heralded_rate(0.1, base_rate_hz=50_000.0), 5_000.0)
     with pytest.raises(ValueError):
         heralded_rate(-0.01)
 

@@ -168,7 +168,3 @@ def test_hybrid_entangled_reduced_b_mixture():
     assert np.allclose(rb.mat, expected, atol=1e-12)
     assert purity(rb) < 1.0
 
-
-def test_hybrid_entangled_rejects_small_qubit_dim():
-    with pytest.raises(ValueError):
-        hybrid_entangled(ResourceParams(), dim_a=1, dim_b=20)

@@ -198,13 +198,13 @@ def test_linearity_in_the_density_matrix():
 
 
 def test_single_photon_negativity():
-    grid = wigner_grid(basis_state(1, 10))
+    grid = wigner_grid(basis_state(1, 10), *default_grid_axes())
     assert np.isclose(negativity_min(grid), -INV_2PI, atol=1e-6)
     assert np.isclose(wigner_point(basis_state(1, 10), 0.0, 0.0), -INV_2PI, atol=1e-14)
 
 
 def test_vacuum_never_negative():
-    grid = wigner_grid(basis_state(0, 10))
+    grid = wigner_grid(basis_state(0, 10), *default_grid_axes())
     assert negativity_min(grid) > -1e-15
 
 
@@ -216,7 +216,7 @@ def test_odd_cat_origin_value():
 
 def test_half_loss_erases_negativity():
     lossy = loss_channel(basis_state(1, 12), 0.5)
-    grid = wigner_grid(lossy)
+    grid = wigner_grid(lossy, *default_grid_axes())
     assert negativity_min(grid) > -1e-9
 
 
