@@ -6,7 +6,8 @@ suffixes in key names (theta_rad, q_center_snu, delta_snu, squeezing_db) to
 prevent convention drift. All floats are serialized with 17 significant
 digits and no timestamps are written, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Each subcommand parses its config into the library's objects before it computes,
+and only main maps errors to exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -120,13 +121,15 @@ def load_config(path) -> dict:
 
 
 def _parse_grid(node, name: str) -> np.ndarray:
+    """A non-empty ascending grid: a flat list of finite numbers, or start/stop/num."""
     if isinstance(node, list):
-        grid = np.asarray(node, dtype=float)
+        grid = np.array([_float({name: v}, name, None) for v in node])
     elif isinstance(node, dict):
         try:
-            grid = np.linspace(float(node["start"]), float(node["stop"]), _int(node, "num", None))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: need start/stop/num or a list") from exc
+            grid = np.linspace(_float(node, "start", None), _float(node, "stop", None),
+                               _int(node, "num", None))
+        except (ValueError, MemoryError) as exc:  # a bad key, a negative or an unallocatable num
+            raise ConfigError(f"{name}: {exc}") from exc
     else:
         raise ConfigError(f"{name}: need start/stop/num or a list")
     if grid.size == 0:
@@ -154,15 +157,22 @@ def _int(node: dict, key: str, default: int | None) -> int:
     return value
 
 
-def _float(node: dict, key: str, default: float) -> float:
-    """A finite number; JSON's NaN and Infinity are refused."""
-    try:
-        value = float(node.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: need a number") from exc
-    if not np.isfinite(value):
+def _float(node: dict, key: str, default: float | None) -> float:
+    """A finite JSON number; bools, text, NaN, Infinity and out-of-range integers are refused."""
+    value = node.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: need a number")
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{key}: need a finite number")
-    return value
+    return float(value)
+
+
+def _complex(node: dict, key: str) -> complex:
+    """A [re, im] pair of finite numbers; 0 when absent."""
+    pair = node.get(key, [0.0, 0.0])
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{key}: need a [re, im] pair")
+    return complex(*(_float({key: v}, key, None) for v in pair))
 
 
 def _check_alpha(name: str, alpha: float, dim: int) -> None:
@@ -172,15 +182,12 @@ def _check_alpha(name: str, alpha: float, dim: int) -> None:
 
 def _parse_resource(cfg: dict, dim: int) -> ResourceParams:
     node = _section(cfg, "resource")
-    try:
-        params = ResourceParams(
-            model=node.get("model", ResourceParams.model),
-            alpha=_float(node, "alpha", ResourceParams.alpha),
-            squeezing_db=_float(node, "squeezing_db", ResourceParams.squeezing_db),
-            weight_dv=_float(node, "weight_dv", ResourceParams.weight_dv),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"resource: {exc}") from exc
+    params = ResourceParams(
+        model=node.get("model", ResourceParams.model),
+        alpha=_float(node, "alpha", ResourceParams.alpha),
+        squeezing_db=_float(node, "squeezing_db", ResourceParams.squeezing_db),
+        weight_dv=_float(node, "weight_dv", ResourceParams.weight_dv),
+    )
     if params.model == "ideal":  # its cats are built at this alpha
         _check_alpha("ideal resource alpha", params.alpha, dim)
     return params
@@ -189,15 +196,12 @@ def _parse_resource(cfg: dict, dim: int) -> ResourceParams:
 def _parse_target(node, default_alpha: float, dim: int) -> TargetSpec:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("target: need an object with a 'kind' key")
-    try:
-        spec = TargetSpec(
-            kind=node["kind"],
-            alpha=_float(node, "alpha", default_alpha),
-            c_plus=complex(*node["c_plus"]) if "c_plus" in node else 0j,
-            c_minus=complex(*node["c_minus"]) if "c_minus" in node else 0j,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"target: {exc}") from exc
+    spec = TargetSpec(
+        kind=node["kind"],
+        alpha=_float(node, "alpha", default_alpha),
+        c_plus=_complex(node, "c_plus"),
+        c_minus=_complex(node, "c_minus"),
+    )
     _check_alpha(f"{spec.kind} target alpha", spec.alpha, dim)
     return spec
 
@@ -217,7 +221,8 @@ def _parse_dim(cfg: dict) -> int:
     return dim
 
 
-def cmd_scan(cfg: dict, out_dir) -> int:
+def cmd_scan(cfg: dict):
+    """Parse a scan config; the returned step computes and writes into out_dir."""
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     theta = _float(cfg, "theta_rad", 0.0)
@@ -226,13 +231,8 @@ def cmd_scan(cfg: dict, out_dir) -> int:
     eta_grid = _parse_grid(cfg.get("eta_grid", {"start": 0.5, "stop": 1.0, "num": 26}), "eta_grid")
     if eta_grid[0] < 0 or eta_grid[-1] > 1:
         raise ConfigError("eta_grid: efficiencies must lie in [0, 1]")
-    eta_scan = cfg.get(
-        "eta_scan",
-        [
-            {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}},
-            {"q_center_snu": 1.14, "target": {"kind": "coherent_plus"}},
-        ],
-    )
+    eta_scan = cfg.get("eta_scan", [{"q_center_snu": 0.0, "target": {"kind": "cat_minus"}},
+                                    {"q_center_snu": 1.14, "target": {"kind": "coherent_plus"}}])
     if not isinstance(eta_scan, list) or not eta_scan or not all(isinstance(n, dict) for n in eta_scan):
         raise ConfigError("eta_scan: need a non-empty list of objects")
     eta_points = [
@@ -248,22 +248,24 @@ def cmd_scan(cfg: dict, out_dir) -> int:
     delta_q = _float(delta_scan, "q_center_snu", 0.0)
     delta_target = _parse_target(delta_scan.get("target", {}), params.alpha, dim)
 
-    resource = hybrid_entangled(params, dim_b=dim)
+    def run(out_dir: Path) -> None:
+        resource = hybrid_entangled(params, dim_b=dim)
 
-    rows_c = fidelity_vs_q(resource, theta, q_grid, targets)
-    write_scan_csv(rows_c, out_dir / "fig1c.csv")
-    print(f"wrote fig1c.csv ({len(rows_c)} rows)")
+        rows_c = fidelity_vs_q(resource, theta, q_grid, targets)
+        write_scan_csv(rows_c, out_dir / "fig1c.csv")
+        print(f"wrote fig1c.csv ({len(rows_c)} rows)")
 
-    rows_d = []
-    for q_center, target in eta_points:
-        rows_d.extend(fidelity_vs_eta(resource, q_center, theta, eta_grid, target))
-    write_scan_csv(rows_d, out_dir / "fig1d.csv")
-    print(f"wrote fig1d.csv ({len(rows_d)} rows)")
+        rows_d = []
+        for q_center, target in eta_points:
+            rows_d.extend(fidelity_vs_eta(resource, q_center, theta, eta_grid, target))
+        write_scan_csv(rows_d, out_dir / "fig1d.csv")
+        print(f"wrote fig1d.csv ({len(rows_d)} rows)")
 
-    rows_e = fidelity_vs_delta(resource, delta_q, theta, delta_grid, delta_target)
-    write_scan_csv(rows_e, out_dir / "fig1e.csv")
-    print(f"wrote fig1e.csv ({len(rows_e)} rows)")
-    return EXIT_OK
+        rows_e = fidelity_vs_delta(resource, delta_q, theta, delta_grid, delta_target)
+        write_scan_csv(rows_e, out_dir / "fig1e.csv")
+        print(f"wrote fig1e.csv ({len(rows_e)} rows)")
+
+    return run
 
 
 def _parse_row(cfg: dict) -> Table1Row | None:
@@ -279,19 +281,17 @@ def _parse_conditioning(cfg: dict, row: Table1Row | None) -> Conditioning:
     node = _section(cfg, "conditioning")
     if row is not None:  # a published row fixes everything but the width and the loss
         node = {**node, "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
-    try:
-        return Conditioning(
-            theta_rad=_float(node, "theta_rad", Conditioning.theta_rad),
-            q_center=_float(node, "q_center_snu", Conditioning.q_center),
-            delta=_float(node, "delta_snu", Conditioning.delta),
-            eta_a=_float(node, "eta_a", Conditioning.eta_a),
-            tail=node.get("tail", Conditioning.tail),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"conditioning: {exc}") from exc
+    return Conditioning(
+        theta_rad=_float(node, "theta_rad", Conditioning.theta_rad),
+        q_center=_float(node, "q_center_snu", Conditioning.q_center),
+        delta=_float(node, "delta_snu", Conditioning.delta),
+        eta_a=_float(node, "eta_a", Conditioning.eta_a),
+        tail=node.get("tail", Conditioning.tail),
+    )
 
 
-def cmd_prepare(cfg: dict, out_dir) -> int:
+def cmd_prepare(cfg: dict):
+    """Parse a prepare config; the returned step computes and writes into out_dir."""
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     row = _parse_row(cfg)
@@ -299,82 +299,75 @@ def cmd_prepare(cfg: dict, out_dir) -> int:
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
     _check_alpha("bloch_alpha", bloch_alpha, dim)
     wnode = _section(cfg, "wigner")
-    w_min = _float(wnode, "min_snu", GRID_MIN)
-    w_max = _float(wnode, "max_snu", GRID_MAX)
-    w_step = _float(wnode, "step_snu", GRID_STEP)
-    try:
-        axes = default_grid_axes(w_min, w_max, w_step)
-    except ValueError as exc:
-        raise ConfigError(f"wigner min_snu, max_snu, step_snu: {exc}") from exc
+    axes = default_grid_axes(
+        _float(wnode, "min_snu", GRID_MIN), _float(wnode, "max_snu", GRID_MAX),
+        _float(wnode, "step_snu", GRID_STEP),
+    )
     targets = _parse_targets(cfg, params.alpha, dim)
 
-    resource = hybrid_entangled(params, dim_b=dim)
-    prep = condition(resource, cond)
-    rate = heralded_rate(prep.success_prob)
+    def run(out_dir: Path) -> None:
+        resource = hybrid_entangled(params, dim_b=dim)
+        prep = condition(resource, cond)
+        rate = heralded_rate(prep.success_prob)
 
-    fid_rows = []
-    for spec in targets:
-        entry = {
-            "target": spec.kind,
-            "alpha": spec.alpha,
-            "fidelity_simulated": fidelity(prep.rho, target_state(spec, dim)),
-            "fidelity_published": None,
+        fid_rows = []
+        for spec in targets:
+            entry = {
+                "target": spec.kind,
+                "alpha": spec.alpha,
+                "fidelity_simulated": fidelity(prep.rho, target_state(spec, dim)),
+                "fidelity_published": None,
+            }
+            if row is not None and row.target.kind == spec.kind:
+                entry["fidelity_published"] = row.published_fidelity
+            fid_rows.append(entry)
+
+        state_doc = {
+            "dim": dim,
+            "rho": _rho_pairs(prep.rho.mat),
+            "success_prob": prep.success_prob,
+            "success_is_density": prep.success_is_density,
+            "heralded_rate_hz": rate,
+            "conditioning": {
+                "theta_rad": cond.theta_rad,
+                "q_center_snu": cond.q_center,
+                "delta_snu": cond.delta,
+                "eta_a": cond.eta_a,
+                "tail": cond.tail,
+            },
+            "purity": purity(prep.rho),
+            "mean_photon_number": mean_photon_number(prep.rho),
+            "fidelities": fid_rows,
         }
-        if row is not None and row.target.kind == spec.kind:
-            entry["fidelity_published"] = row.published_fidelity
-        fid_rows.append(entry)
+        write_json(state_doc, out_dir / "state.json")
 
-    state_doc = {
-        "dim": dim,
-        "rho": _rho_pairs(prep.rho.mat),
-        "success_prob": prep.success_prob,
-        "success_is_density": prep.success_is_density,
-        "heralded_rate_hz": rate,
-        "conditioning": {
-            "theta_rad": cond.theta_rad,
-            "q_center_snu": cond.q_center,
-            "delta_snu": cond.delta,
-            "eta_a": cond.eta_a,
-            "tail": cond.tail,
-        },
-        "purity": purity(prep.rho),
-        "mean_photon_number": mean_photon_number(prep.rho),
-        "fidelities": fid_rows,
-    }
-    write_json(state_doc, out_dir / "state.json")
+        coords = bloch_embed(prep.rho, bloch_alpha)
+        write_json({"phi_polar_rad": coords.phi_polar, "varphi_azimuth_rad": coords.varphi_azimuth,
+                    "d": coords.d, "max_fidelity": coords.max_fidelity,
+                    "subspace_weight": coords.subspace_weight, "alpha": bloch_alpha},
+                   out_dir / "bloch.json")
 
-    coords = bloch_embed(prep.rho, bloch_alpha)
-    write_json(
-        {
-            "phi_polar_rad": coords.phi_polar,
-            "varphi_azimuth_rad": coords.varphi_azimuth,
-            "d": coords.d,
-            "max_fidelity": coords.max_fidelity,
-            "subspace_weight": coords.subspace_weight,
-            "alpha": bloch_alpha,
-        },
-        out_dir / "bloch.json",
-    )
+        grid = wigner_grid(prep.rho, *axes)
+        write_grid_csv(grid, out_dir / "wigner.csv")
+        meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
+        meta["w_origin"] = wigner_origin(prep.rho)
+        meta["negativity_min"] = negativity_min(grid)
+        write_json(meta, out_dir / "wigner.json")
 
-    grid = wigner_grid(prep.rho, *axes)
-    write_grid_csv(grid, out_dir / "wigner.csv")
-    meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
-    meta["w_origin"] = wigner_origin(prep.rho)
-    meta["negativity_min"] = negativity_min(grid)
-    write_json(meta, out_dir / "wigner.json")
+        print(f"success_prob = {prep.success_prob:.6g}"
+              + (" (density)" if prep.success_is_density else ""))
+        print(f"heralded_rate_hz = {rate:.6g}")
+        for entry in fid_rows:
+            line = f"F[{entry['target']}] = {entry['fidelity_simulated']:.4f} (simulated)"
+            if entry["fidelity_published"] is not None:
+                line += f" vs {entry['fidelity_published']:.2f} (published)"
+            print(line)
 
-    print(f"success_prob = {prep.success_prob:.6g}"
-          + (" (density)" if prep.success_is_density else ""))
-    print(f"heralded_rate_hz = {rate:.6g}")
-    for entry in fid_rows:
-        line = f"F[{entry['target']}] = {entry['fidelity_simulated']:.4f} (simulated)"
-        if entry["fidelity_published"] is not None:
-            line += f" vs {entry['fidelity_published']:.2f} (published)"
-        print(line)
-    return EXIT_OK
+    return run
 
 
-def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
+def cmd_tomo(cfg: dict):
+    """Parse a tomo config; the returned step samples, reconstructs and writes into out_dir."""
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     if "truth" not in cfg:
@@ -386,59 +379,61 @@ def cmd_tomo(cfg: dict, out_dir, seed_override=None) -> int:
     eta = _float(cfg, "eta", 1.0)
     if not 0 < eta <= 1:
         raise ConfigError("eta must lie in (0, 1]")
-    seed = _int(cfg, "seed", 0) if seed_override is None else seed_override
+    seed = _int(cfg, "seed", 0)
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     tnode = _section(cfg, "tomo")
-    try:
-        tomo_cfg = TomoConfig(
-            dim_recon=_int(tnode, "dim_recon", TomoConfig.dim_recon),
-            eta_correction=_float(tnode, "eta_correction", eta),
-            bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
-            phase_set=default_phase_set(_int(tnode, "n_phases", 12)),
-            max_iters=_int(tnode, "max_iters", TomoConfig.max_iters),
-            tol=_float(tnode, "tol", TomoConfig.tol),
-            q_max=_float(tnode, "q_max_snu", TomoConfig.q_max),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tomo: {exc}") from exc
+    n_phases = _int(tnode, "n_phases", 12)
+    if n_phases < 1:
+        raise ConfigError("n_phases must be a positive integer")
+    tomo_cfg = TomoConfig(
+        dim_recon=_int(tnode, "dim_recon", TomoConfig.dim_recon),
+        eta_correction=_float(tnode, "eta_correction", eta),
+        bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
+        phase_set=default_phase_set(n_phases),
+        max_iters=_int(tnode, "max_iters", TomoConfig.max_iters),
+        tol=_float(tnode, "tol", TomoConfig.tol),
+        q_max=_float(tnode, "q_max_snu", TomoConfig.q_max),
+    )
     if tomo_cfg.dim_recon > dim:
         raise ConfigError(f"tomo: dim_recon must not exceed dim = {dim}")
 
-    truth = target_state(truth_spec, dim)
-    records = sample_homodyne(truth, tomo_cfg.phase_set, n_samples, eta=eta, seed=seed)
-    write_records(records, out_dir / "records.csv")
+    def run(out_dir: Path) -> None:
+        truth = target_state(truth_spec, dim)
+        records = sample_homodyne(truth, tomo_cfg.phase_set, n_samples, eta=eta, seed=seed)
+        write_records(records, out_dir / "records.csv")
 
-    result = mle_reconstruct(records, tomo_cfg)
-    write_json(
-        {
-            "dim": tomo_cfg.dim_recon,
-            "rho": _rho_pairs(result.state.mat),
+        result = mle_reconstruct(records, tomo_cfg)
+        write_json(
+            {
+                "dim": tomo_cfg.dim_recon,
+                "rho": _rho_pairs(result.state.mat),
+                "iterations": result.iterations,
+                "log_likelihood": result.log_likelihood,
+                "converged": result.converged,
+                "optimality_gap": result.optimality_gap,
+            },
+            out_dir / "recon.json",
+        )
+
+        fid = fidelity_to_truth(result.state, truth)
+        w_origin = wigner_origin(result.state)
+        report = {
+            "truth": {"kind": truth_spec.kind, "alpha": truth_spec.alpha},
+            "n_samples": n_samples,
+            "eta": eta,
+            "eta_correction": tomo_cfg.eta_correction,
+            "seed": seed,
+            "fidelity_recon_truth": fid,
+            "w_origin_recon": w_origin,
             "iterations": result.iterations,
-            "log_likelihood": result.log_likelihood,
             "converged": result.converged,
-            "optimality_gap": result.optimality_gap,
-        },
-        out_dir / "recon.json",
-    )
+        }
+        write_json(report, out_dir / "report.json")
+        print(f"F(recon, truth) = {fid:.4f}, W(0,0) = {w_origin:.4f}, "
+              f"{result.iterations} iterations{'' if result.converged else ' (not converged)'}")
 
-    fid = fidelity_to_truth(result.state, truth)
-    w_origin = wigner_origin(result.state)
-    report = {
-        "truth": {"kind": truth_spec.kind, "alpha": truth_spec.alpha},
-        "n_samples": n_samples,
-        "eta": eta,
-        "eta_correction": tomo_cfg.eta_correction,
-        "seed": seed,
-        "fidelity_recon_truth": fid,
-        "w_origin_recon": w_origin,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
-    write_json(report, out_dir / "report.json")
-    print(f"F(recon, truth) = {fid:.4f}, W(0,0) = {w_origin:.4f}, "
-          f"{result.iterations} iterations{'' if result.converged else ' (not converged)'}")
-    return EXIT_OK
+    return run
 
 
 def main(argv=None) -> int:
@@ -460,21 +455,23 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
 
+    # a fault in the config, the --out directory or the parse step exits 2, before any write
     out_dir = Path(args.out)
     try:
         cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:  # tomo's --seed overrides the config
+            cfg["seed"] = args.seed
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "scan":
-            return cmd_scan(cfg, out_dir)
-        if args.command == "prepare":
-            return cmd_prepare(cfg, out_dir)
-        return cmd_tomo(cfg, out_dir, seed_override=args.seed)
-    except ConfigError as exc:
+        run = {"scan": cmd_scan, "prepare": cmd_prepare, "tomo": cmd_tomo}[args.command](cfg)
+    except (ConfigError, TypeError, ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    try:
+        run(out_dir)
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ class PureState:
         if self.amps.ndim != 1:
             raise ValueError("PureState amplitudes must be a 1-D array")
         nrm = np.linalg.norm(self.amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"PureState not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
 
     @property
@@ -74,10 +74,10 @@ class MixedState:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("MixedState matrix must be square")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL:  # NaN fails
             raise ValueError("MixedState matrix is not Hermitian")
         tr = np.trace(self.mat).real
-        if abs(tr - 1.0) > HERM_TOL:
+        if not abs(tr - 1.0) <= HERM_TOL:
             raise ValueError(f"MixedState trace is {tr}, expected 1")
         if np.linalg.eigvalsh(self.mat).min() < -EIG_TOL:
             raise ValueError("MixedState matrix is not positive semidefinite")
@@ -100,9 +100,9 @@ class TwoModeState:
         d = self.dim_a * self.dim_b
         if self.mat.shape != (d, d):
             raise ValueError(f"TwoModeState matrix must be {d}x{d}")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL:  # NaN fails
             raise ValueError("TwoModeState matrix is not Hermitian")
-        if abs(np.trace(self.mat).real - 1.0) > HERM_TOL:
+        if not abs(np.trace(self.mat).real - 1.0) <= HERM_TOL:
             raise ValueError("TwoModeState trace must be 1")
 
     @classmethod
@@ -111,7 +111,7 @@ class TwoModeState:
         if vec.shape != (dim_a * dim_b,):
             raise ValueError("joint vector has wrong length")
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError("joint vector not normalized")
         return cls(np.outer(vec, vec.conj()), dim_a, dim_b)
 

@@ -44,7 +44,7 @@ class TargetSpec:
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError("target alpha must be positive")
         if self.kind == "custom":
             norm = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
             if not np.isclose(norm, 1.0, atol=1e-9):

@@ -37,13 +37,14 @@ class WignerGrid:
 
 
 def default_grid_axes(lo: float = GRID_MIN, hi: float = GRID_MAX, step: float = GRID_STEP):
-    """Equal x and p axes from lo to hi, step apart. The step must divide
-    hi - lo; only rounding slack (STEP_SLACK of the step count) is forgiven."""
+    """Equal x and p axes from lo to hi (min_snu, max_snu), step (step_snu) apart. The step
+    must divide hi - lo; only rounding slack (STEP_SLACK of the step count) is forgiven."""
     if not (lo < hi and step > 0):  # written so that NaN fails
-        raise ValueError("need lo < hi and step > 0")
+        raise ValueError("wigner axes need min_snu < max_snu and step_snu > 0")
     steps = (hi - lo) / step
-    if not abs(steps - round(steps)) <= STEP_SLACK * steps:
-        raise ValueError(f"step {float(step)!r} does not divide hi - lo = {float(hi - lo)!r}")
+    if not (steps < np.inf and abs(steps - round(steps)) <= STEP_SLACK * steps):
+        raise ValueError(f"wigner step_snu {float(step)!r} does not divide "
+                         f"max_snu - min_snu = {float(hi - lo)!r}")
     axis = np.linspace(lo, hi, round(steps) + 1)
     return axis, axis.copy()
 

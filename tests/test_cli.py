@@ -340,6 +340,13 @@ def test_tomo_config_errors(tmp_path):
                      "targets": [{"kind": "cat_minus", "alpha": 0.7}], "bloch_alpha": 0.7}),
         ("tomo", {**TOMO_DOC, "resource": {"model": "ideal", "alpha": 3.0},
                   "truth": {"kind": "cat_minus", "alpha": 0.7}}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": ["a", 1]}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": [[0.1, 0.2], [0.3]]}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": [[0.1, 0.2]]}),
+        ("scan", {**SCAN_DOC, "eta_grid": [[0.5, 0.9]]}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 10**18}}),
+        ("scan", {**SCAN_DOC, "theta_rad": 10**400}),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 1e-320}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
@@ -353,13 +360,70 @@ def test_tomo_config_errors(tmp_path):
          "scan_target_alpha_at_truncation_bound", "truth_alpha_above_truncation_bound",
          "scan_ideal_resource_alpha_above_truncation_bound",
          "prepare_ideal_resource_alpha_above_truncation_bound",
-         "tomo_ideal_resource_alpha_above_truncation_bound"],
+         "tomo_ideal_resource_alpha_above_truncation_bound", "q_grid_text", "q_grid_ragged",
+         "q_grid_nested", "eta_grid_nested", "q_grid_num_unallocatable", "theta_past_float_range",
+         "wigner_step_infinite_count"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())  # refused before any output
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("prepare", {**PREP_DOC, "targets": [{"kind": "cat_minus", "alpha": -0.7}]},
+         "target alpha"),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 0.0}},
+         "step_snu"),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.3}},
+         "step_snu"),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "n_phases": 0}}, "n_phases"),
+        ("tomo", {**TOMO_DOC, "truth": {"kind": "custom", "c_plus": 1}}, "c_plus"),
+    ],
+    ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
+         "custom_coefficient_not_a_pair"],
+)
+def test_config_error_names_the_key(tmp_path, capsys, command, doc, key):
+    # library messages reach the user unwrapped, so they must name the key themselves
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_out_path_that_is_a_file_exits_with_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "scan.json", SCAN_DOC)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert run(["scan", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+def test_module_entry_point_exits_with_config_error_without_traceback(tmp_path):
+    # in-process calls of main skip the __main__ path that sys.exit takes
+    cfg = write_config(tmp_path, "scan.json", SCAN_DOC)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    src = str(Path(catprep.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "catprep.cli", "scan", "--config", cfg, "--out", out],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unallocatable_sample_count_is_a_numerical_failure(tmp_path, capsys):
+    # 10**18 samples ask numpy for exabytes, beyond any 64-bit address space,
+    # so the allocation fails at once without touching memory
+    cfg = write_config(tmp_path, "tomo.json", {**TOMO_DOC, "n_samples": 10**18})
+    assert run(["tomo", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_NUMERICAL
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "records.csv").exists()
 
 
 SCAN_ROW = {"param": 0.1, "target": "cat_minus", "fidelity": 0.5}

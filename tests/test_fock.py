@@ -65,6 +65,23 @@ def test_mixed_state_rejects_negative_eigenvalue():
         MixedState(m)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PureState(np.array([np.nan, 0.0, 0.0])), "not normalized"),
+        (lambda: MixedState(np.full((3, 3), np.nan)), "not Hermitian"),
+        (lambda: TwoModeState(np.full((4, 4), np.nan), 2, 2), "not Hermitian"),
+        (lambda: TwoModeState.from_pure(np.array([np.nan, 0.0, 0.0, 0.0]), 2, 2), "not normalized"),
+    ],
+    ids=["pure", "mixed", "two_mode", "two_mode_from_pure"],
+)
+def test_nan_entries_fail_the_invariant_checks(build, message):
+    # NaN compares false, so each check is written to fail on it; a LinAlgError
+    # from a later eigensolve would not match
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_annihilate_ladder(n):
     s = basis_state(n, 8)
