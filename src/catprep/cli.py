@@ -7,7 +7,8 @@ prevent convention drift. All floats are serialized with 17 significant
 digits and no timestamps are written, so reruns are byte-identical.
 
 Each subcommand parses its config into the library's objects before it computes,
-and only main maps errors to exit codes: 0 success, 2 config error, 3 numerical failure.
+and only main maps errors to exit codes: 0 success, 1 output error, 2 config error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .wigner import (
 )
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
@@ -128,7 +130,8 @@ def _parse_grid(node, name: str) -> np.ndarray:
         try:
             grid = np.linspace(_float(node, "start", None), _float(node, "stop", None),
                                _int(node, "num", None))
-        except (ValueError, MemoryError) as exc:  # a bad key, a negative or an unallocatable num
+        # a bad key, a negative num, or one numpy cannot size or allocate
+        except (ValueError, IndexError, MemoryError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     else:
         raise ConfigError(f"{name}: need start/stop/num or a list")
@@ -150,10 +153,12 @@ def _section(node: dict, key: str, default=None) -> dict:
 
 
 def _int(node: dict, key: str, default: int | None) -> int:
-    """A JSON integer; bools and numbers with a fraction are refused."""
+    """A JSON integer within 64 bits; bools and numbers with a fraction are refused."""
     value = node.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: need an integer")
+    if not -2**63 <= value < 2**63:
+        raise ConfigError(f"{key}: need an integer within 64 bits")
     return value
 
 
@@ -391,9 +396,6 @@ def cmd_tomo(cfg: dict):
         eta_correction=_float(tnode, "eta_correction", eta),
         bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
         phase_set=default_phase_set(n_phases),
-        max_iters=_int(tnode, "max_iters", TomoConfig.max_iters),
-        tol=_float(tnode, "tol", TomoConfig.tol),
-        q_max=_float(tnode, "q_max_snu", TomoConfig.q_max),
     )
     if tomo_cfg.dim_recon > dim:
         raise ConfigError(f"tomo: dim_recon must not exceed dim = {dim}")
@@ -468,9 +470,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         run(out_dir)
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # an output file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

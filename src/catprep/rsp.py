@@ -125,14 +125,13 @@ def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
             for x, row in zip(grid, fids) for spec, f in zip(targets, row)]
 
 
-def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets,
-                  eta_a: float = 1.0) -> list[dict]:
+def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets) -> list[dict]:
     """Point-conditioned fidelity for each (q, target) pair.
 
     Rows carry keys param, target, fidelity with param the quadrature value.
     """
     q = np.asarray(q_grid, dtype=float)
-    ops = acceptance_operator(resource.dim_a, q[:, None], np.ones(1), theta_rad, eta_a)
+    ops = acceptance_operator(resource.dim_a, q[:, None], np.ones(1), theta_rad)
     return _scan(resource, q, ops, targets)
 
 

@@ -26,7 +26,9 @@ from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_p
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
 P_FLOOR = 1e-15  # probability floor inside the iteration only
 LL_SLACK = 1e-9  # relative slack for the monotonicity check
-GAP_TOL = 1e-6  # certified bound on LL* - LL that, with a gain below tol, ends the MLE
+GAIN_TOL = 1e-10  # a step that gains less than this, with the gap below GAP_TOL, ends the MLE
+GAP_TOL = 1e-6  # certified bound on LL* - LL that, with a gain below GAIN_TOL, ends the MLE
+MAX_ITERS = 2000  # the MLE stops here, unconverged
 STEP_GROWTH = 1.2  # the gradient step grows by this after every accepted step
 BACKTRACKS = 60  # step halvings before a projected step counts as failed
 
@@ -41,37 +43,29 @@ class TomoConfig:
     """Reconstruction settings.
 
     eta_correction is the detection efficiency compensated for in the POVM;
-    bin_width and q_max define per-phase quadrature bins, closed by one
-    overflow element per phase so the POVM is complete exactly.
+    bin_width defines per-phase quadrature bins across the sampling support
+    +-Q_SUPPORT, closed by one overflow element per phase so the POVM is
+    complete exactly.
     """
 
     dim_recon: int = 12
     eta_correction: float = 1.0
     bin_width: float = 0.1
     phase_set: tuple = field(default_factory=default_phase_set)
-    max_iters: int = 2000
-    tol: float = 1e-10
-    q_max: float = 10.0
 
     def __post_init__(self):  # written so that NaN fails every check
         if not self.dim_recon >= 2:
             raise ValueError("dim_recon must be at least 2")
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be positive")
+        if not (self.bin_width > 0 and 2 * Q_SUPPORT / self.bin_width < 2**63):
+            raise ValueError("bin_width must be positive, with 2 * Q_SUPPORT / bin_width below 2**63")
         if not 0 < self.eta_correction <= 1:
             raise ValueError("eta_correction must lie in (0, 1]")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not 0 < self.q_max < np.inf:
-            raise ValueError("q_max must be positive and finite")
         if len(self.phase_set) == 0:
             raise ValueError("phase_set must be non-empty")
 
     @property
     def n_bins(self) -> int:
-        return int(np.ceil(2 * self.q_max / self.bin_width - 1e-9))
+        return int(np.ceil(2 * Q_SUPPORT / self.bin_width - 1e-9))
 
 
 def _record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +125,7 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     dim = cfg.dim_recon
     n_phases = len(cfg.phase_set)
-    edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     bins = acceptance_operator(dim, nodes, weights / n_phases, 0.0, cfg.eta_correction).real
     bins = np.concatenate((bins, np.eye(dim)[None] / n_phases - bins.sum(axis=0)))
@@ -143,7 +137,7 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:
     """Counts per POVM element, phase-major, n_bins + 1 per phase. Bin b holds
-    floor((q + q_max) / bin_width) = b for 0 <= b < n_bins; everything else
+    floor((q + Q_SUPPORT) / bin_width) = b for 0 <= b < n_bins; everything else
     goes to the phase's overflow element, the last. Unknown phases and
     non-finite q are an error."""
     thetas, qs = _record_arrays(records)
@@ -156,7 +150,7 @@ def bin_records(records, cfg: TomoConfig) -> np.ndarray:
         raise ValueError(f"record phase {thetas[~known][0]} not in the configured phase set")
     if not np.isfinite(qs).all():
         raise ValueError("record quadratures must be finite")
-    b = np.floor((qs + cfg.q_max) / cfg.bin_width)
+    b = np.floor((qs + Q_SUPPORT) / cfg.bin_width)
     b = np.where((b >= 0) & (b < cfg.n_bins), b, cfg.n_bins).astype(np.intp)
     stride = cfg.n_bins + 1
     return np.bincount(order[pos] * stride + b, minlength=len(keys) * stride).astype(float)
@@ -232,10 +226,10 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     iterates never lower LL: a step from an accepted iterate that lowers it
     beyond LL_SLACK, backtracking that runs out, or a NaN raises ValueError.
 
-    Converged when a step gains less than tol and the gap lambda_max(R) - 1
-    is at most GAP_TOL. The gap bounds LL* - LL, since LL is concave and
-    Tr R rho = 1; a gain below tol alone can stop on a plateau of the
-    coherent targets. Otherwise stops after max_iters.
+    Converged when a step gains less than GAIN_TOL and the gap
+    lambda_max(R) - 1 is at most GAP_TOL. The gap bounds LL* - LL, since LL
+    is concave and Tr R rho = 1; a gain below GAIN_TOL alone can stop on a
+    plateau of the coherent targets. Otherwise stops after MAX_ITERS.
     """
     counts = bin_records(records, cfg)
     if np.count_nonzero(counts) < 2:  # none, or all in one bin
@@ -269,7 +263,7 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     step = 1.0
     iterations = 0
     converged = False
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         grad = gradient(sigma_probs)
         first_step = step  # a restart tries rho with the step sigma started from
         for _ in range(BACKTRACKS):
@@ -301,7 +295,7 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
         gain = cand_ll - ll
         rho, probs, ll = cand, cand_probs, cand_ll
         step *= STEP_GROWTH
-        if gain < cfg.tol and gap(probs) <= GAP_TOL:
+        if gain < GAIN_TOL and gap(probs) <= GAP_TOL:
             converged = True
             break
     return ReconResult(MixedState(rho), iterations, ll, converged, gap(probs))

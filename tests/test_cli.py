@@ -16,6 +16,7 @@ from catprep.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_OUTPUT,
     ConfigError,
     _parse_grid,
     main,
@@ -27,6 +28,7 @@ from catprep.wigner import WignerGrid, write_grid_csv
 
 
 NAN = float("nan")  # json writes NaN, and Python's json reads it back
+DIM_400_DIGITS = 10**399  # a float cannot hold it, nor can a 64-bit integer
 
 
 def write_config(tmp_path, name, doc):
@@ -204,7 +206,7 @@ TOMO_DOC = {
     "truth": {"kind": "cat_minus"},
     "n_samples": 4000,
     "seed": 5,
-    "tomo": {"dim_recon": 8, "n_phases": 6, "max_iters": 400},
+    "tomo": {"dim_recon": 8, "n_phases": 6},
 }
 
 
@@ -235,12 +237,53 @@ def test_tomo_outputs(tmp_path):
 README = Path(catprep.__file__).resolve().parents[2] / "README.md"
 
 
-def readme_tomo_config():
-    """The tomo config document shown in the README."""
-    text = README.read_text()
-    blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
-    (doc,) = [json.loads(b) for b in blocks if '"truth"' in b]
+def readme_configs():
+    """(subcommand, document) for each json config in the README, a config
+    shown under a "### <subcommand>" heading running with that subcommand."""
+    configs = []
+    for section in README.read_text().split("\n### ")[1:]:
+        command = section.split("\n", 1)[0].strip()
+        for block in section.split("```json\n")[1:]:
+            configs.append((command, json.loads(block.split("```", 1)[0])))
+    return configs
+
+
+README_CONFIGS = readme_configs()
+
+
+def leaf_paths(doc, path=()):
+    """The key path of every number, string and bool in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in leaf_paths(value, (*path, key))]
+
+
+def with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return doc
+
+
+@pytest.mark.parametrize("command", ["scan", "prepare", "tomo"])
+def test_readme_config_examples_run(tmp_path, command):
+    docs = [doc for c, doc in README_CONFIGS if c == command]
+    assert docs
+    for i, doc in enumerate(docs):
+        cfg = write_config(tmp_path, f"cfg{i}.json", doc)
+        assert run([command, "--config", cfg, "--out", tmp_path / f"out{i}"]) == EXIT_OK
+        # the CLI reads every key an example sets: text in its place is refused
+        # before any computing, where a stale key would be ignored and the run succeed
+        for k, path in enumerate(leaf_paths(doc)):
+            cfg = write_config(tmp_path, f"stale{i}_{k}.json", with_leaf(doc, path, "stale"))
+            out = tmp_path / f"o{i}_{k}"
+            assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG, path
 
 
 def test_readme_cites_only_names_that_exist():
@@ -259,12 +302,13 @@ def test_readme_cites_only_names_that_exist():
 @pytest.mark.parametrize("seed", [11, 13])
 def test_readme_tomo_config_converges(tmp_path, seed):
     # sampling seeds on which RrhoR ran into the 2000-iteration cap
-    cfg = write_config(tmp_path, "tomo.json", readme_tomo_config())
+    (doc,) = [doc for command, doc in README_CONFIGS if command == "tomo"]
+    cfg = write_config(tmp_path, "tomo.json", doc)
     out = tmp_path / "out"
     assert run(["tomo", "--config", cfg, "--out", out, "--seed", seed]) == EXIT_OK
     recon = json.loads((out / "recon.json").read_text())
     assert recon["converged"] is True
-    assert recon["iterations"] < tomography.TomoConfig().max_iters
+    assert recon["iterations"] < tomography.MAX_ITERS
     # lambda_max(R) - 1 bounds LL* - LL; rounding may put it a hair below 0
     assert -1e-12 <= recon["optimality_gap"] <= tomography.GAP_TOL
     report = json.loads((out / "report.json").read_text())
@@ -307,7 +351,6 @@ def test_tomo_config_errors(tmp_path):
         ("tomo", {**TOMO_DOC, "seed": 5.7}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "dim_recon": 6.9}}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "n_phases": 4.5}}),
-        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 20.9}}),
         ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 3.7}}),
         ("scan", {**SCAN_DOC, "eta_grid": [0.5, 1.2]}),
         ("scan", {**SCAN_DOC, "delta_grid_snu": [-0.1, 0.1]}),
@@ -316,12 +359,8 @@ def test_tomo_config_errors(tmp_path):
         ("scan", {**SCAN_DOC, "eta_grid": [NAN, 1.0]}),
         ("scan", {**SCAN_DOC, "delta_grid_snu": [NAN, 0.1]}),
         ("tomo", {**TOMO_DOC, "truth": {"kind": "cat_minus", "alpha": NAN}}),
-        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "tol": NAN}}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": NAN}}),
-        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "q_max_snu": NAN}}),
         ("tomo", {**TOMO_DOC, "seed": -1}),
-        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": 0}}),
-        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "max_iters": -5}}),
         ("prepare", {**PREP_DOC, "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.3}}),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "dim_recon": 21}}),
         ("prepare", {**PREP_DOC, "bloch_alpha": 0.0}),
@@ -347,14 +386,16 @@ def test_tomo_config_errors(tmp_path):
         ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 10**18}}),
         ("scan", {**SCAN_DOC, "theta_rad": 10**400}),
         ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 1e-320}}),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-320}}),
+        ("scan", {**SCAN_DOC, "dim": DIM_400_DIGITS}),
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 2**63 - 1}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
-         "seed_fraction", "dim_recon_fraction", "n_phases_fraction", "max_iters_fraction",
+         "seed_fraction", "dim_recon_fraction", "n_phases_fraction",
          "grid_num_fraction", "eta_above_one", "delta_negative", "q_grid_nan", "theta_nan",
-         "eta_grid_nan", "delta_grid_nan", "truth_alpha_nan", "tol_nan", "bin_width_nan",
-         "q_max_nan", "seed_negative", "max_iters_zero", "max_iters_negative",
-         "wigner_step_not_dividing", "dim_recon_above_dim", "bloch_alpha_zero",
+         "eta_grid_nan", "delta_grid_nan", "truth_alpha_nan", "bin_width_nan",
+         "seed_negative", "wigner_step_not_dividing", "dim_recon_above_dim", "bloch_alpha_zero",
          "bloch_alpha_negative", "bloch_alpha_at_truncation_bound", "tail_negative_q",
          "tail_text", "target_alpha_above_truncation_bound",
          "scan_target_alpha_at_truncation_bound", "truth_alpha_above_truncation_bound",
@@ -362,7 +403,8 @@ def test_tomo_config_errors(tmp_path):
          "prepare_ideal_resource_alpha_above_truncation_bound",
          "tomo_ideal_resource_alpha_above_truncation_bound", "q_grid_text", "q_grid_ragged",
          "q_grid_nested", "eta_grid_nested", "q_grid_num_unallocatable", "theta_past_float_range",
-         "wigner_step_infinite_count"],
+         "wigner_step_infinite_count", "bin_width_infinite_count", "dim_past_64_bits",
+         "q_grid_num_unsizable"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
@@ -382,9 +424,14 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
          "step_snu"),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "n_phases": 0}}, "n_phases"),
         ("tomo", {**TOMO_DOC, "truth": {"kind": "custom", "c_plus": 1}}, "c_plus"),
+        ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-320}}, "bin_width"),
+        ("scan", {**SCAN_DOC, "dim": DIM_400_DIGITS}, "dim"),
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 2**63 - 1}},
+         "q_grid_snu"),
     ],
     ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
-         "custom_coefficient_not_a_pair"],
+         "custom_coefficient_not_a_pair", "bin_width_infinite_count", "dim_past_64_bits",
+         "q_grid_num_unsizable"],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, doc, key):
     # library messages reach the user unwrapped, so they must name the key themselves
@@ -415,6 +462,27 @@ def test_module_entry_point_exits_with_config_error_without_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_failed_output_write_is_an_output_error(tmp_path, capsys):
+    # a directory where fig1c.csv goes cannot be replaced by the file
+    cfg = write_config(tmp_path, "scan.json", SCAN_DOC)
+    out = tmp_path / "out"
+    (out / "fig1c.csv").mkdir(parents=True)
+    assert run(["scan", "--config", cfg, "--out", out]) == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["fig1c.csv"]  # no .fig1c.csv.tmp left
+    assert (out / "fig1c.csv").is_dir()
+
+
+def test_unsizable_bin_count_is_a_numerical_failure(tmp_path, capsys):
+    # 2e18 bins fit 64 bits, but the counts of six phases do not
+    doc = {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-17}}
+    cfg = write_config(tmp_path, "tomo.json", doc)
+    assert run(["tomo", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_unallocatable_sample_count_is_a_numerical_failure(tmp_path, capsys):

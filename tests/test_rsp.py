@@ -154,10 +154,12 @@ def test_scans_match_conditioned_states(dim_a, theta, q, eta, delta):
     def check(rows, want):
         assert np.allclose([r["fidelity"] for r in rows], want, rtol=0, atol=1e-12)
 
-    check(fidelity_vs_q(res, theta, [q, -q], specs, eta_a=eta),
-          [reference(Conditioning(theta, x, 0.0, eta), s) for x in (q, -q) for s in specs])
-    check(fidelity_vs_eta(res, q, theta, [eta, 1.0], specs[0]),
-          [reference(Conditioning(theta, q, 0.0, e), specs[0]) for e in (eta, 1.0)])
+    check(fidelity_vs_q(res, theta, [q, -q], specs),
+          [reference(Conditioning(theta, x, 0.0), s) for x in (q, -q) for s in specs])
+    for x in (q, -q):  # the lossy points
+        for s in specs:
+            check(fidelity_vs_eta(res, x, theta, [eta, 1.0], s),
+                  [reference(Conditioning(theta, x, 0.0, e), s) for e in (eta, 1.0)])
     try:
         want = [reference(Conditioning(theta, q, d, 1.0), specs[2]) for d in (0.0, delta)]
     except ValueError:  # a window so narrow that its probability is not a normal double

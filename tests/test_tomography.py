@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catprep import tomography
 from catprep.fock import MixedState, basis_state, fidelity
-from catprep.homodyne import acceptance_operator, gauss_legendre
+from catprep.homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre
 from catprep.rsp import TargetSpec, target_state
-from catprep.states import cat
+from catprep.states import cat, coherent
 from catprep.tomography import (
+    GAIN_TOL,
     GAP_TOL,
     LL_SLACK,
+    MAX_ITERS,
     P_FLOOR,
     TomoConfig,
     _frequencies_ll,
@@ -56,11 +59,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TomoConfig(eta_correction=1.2)
     with pytest.raises(ValueError):
-        TomoConfig(tol=0.0)
-    with pytest.raises(ValueError):
         TomoConfig(phase_set=())
-    for bad in ({"max_iters": 0}, {"max_iters": -5}, {"tol": np.nan}, {"bin_width": np.nan},
-                {"eta_correction": np.nan}, {"q_max": 0.0}, {"q_max": np.nan}):
+    # bin counts past 64 bits, the first infinite
+    for bad in ({"bin_width": np.nan}, {"bin_width": -0.1}, {"bin_width": 1e-320},
+                {"bin_width": 1e-300},
+                {"eta_correction": np.nan}):
         with pytest.raises(ValueError):
             TomoConfig(**bad)
     assert TomoConfig().n_bins == 200
@@ -102,21 +105,23 @@ def test_records_csv_round_trip(tmp_path):
 
 
 def test_bin_records_counts_and_overflow():
-    cfg = TomoConfig(phase_set=(0.0, np.pi / 2), bin_width=1.0, q_max=2.0)
+    w = Q_SUPPORT / 2  # four bins across the support
+    cfg = TomoConfig(phase_set=(0.0, np.pi / 2), bin_width=w)
+    assert cfg.n_bins == 4
     records = (
         np.array([0.0, 0.0, 0.0, np.pi / 2]),
-        np.array([-1.5, 0.5, 5.0, -3.0]),  # the last two overflow
+        np.array([-1.5 * w, 0.5 * w, 2.5 * w, -3.0 * w]),  # the last two overflow
     )
     counts = bin_records(records, cfg)
     stride = cfg.n_bins + 1
     assert counts.sum() == 4
-    assert counts[0] == 1  # [-2,-1) bin of phase 0
-    assert counts[2] == 1  # [0,1) bin of phase 0
+    assert counts[0] == 1  # [-2w,-w) bin of phase 0
+    assert counts[2] == 1  # [0,w) bin of phase 0
     assert counts[cfg.n_bins] == 1  # phase-0 overflow
     assert counts[stride + cfg.n_bins] == 1  # phase-pi/2 overflow
 
-    # an edge belongs to the bin above it; -q_max opens bin 0, +q_max overflows
-    edges = (np.full(4, np.pi / 2), np.array([-2.0, -1.0, 0.0, 2.0]))
+    # an edge belongs to the bin above it; -Q_SUPPORT opens bin 0, +Q_SUPPORT overflows
+    edges = (np.full(4, np.pi / 2), np.array([-2.0 * w, -w, 0.0, 2.0 * w]))
     counts = bin_records(edges, cfg)
     assert counts.sum() == 4
     assert counts[stride + 0] == counts[stride + 1] == counts[stride + 2] == 1
@@ -130,6 +135,17 @@ def test_bin_records_rejects_unknown_phase():
     cfg = TomoConfig()
     with pytest.raises(ValueError):
         bin_records((np.array([0.123]), np.array([0.0])), cfg)
+
+
+@pytest.mark.parametrize("bin_width", [0.1, 0.3, 0.7, 2.0])
+def test_sampled_records_never_overflow(bin_width):
+    # the sampler draws from +-Q_SUPPORT and the bins span it, even at a width
+    # that does not divide it; marginals centred at +-9 reach both edges
+    phases = (0.0, np.pi)
+    records = sample_homodyne(coherent(4.5, 100), phases, 20_000, seed=FROZEN_SEED)
+    assert records[1].min() < 0.5 - Q_SUPPORT and records[1].max() > Q_SUPPORT - 0.5
+    counts = bin_records(records, TomoConfig(bin_width=bin_width, phase_set=phases))
+    assert counts.reshape(len(phases), -1)[:, -1].tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.85])
@@ -150,7 +166,7 @@ def test_povm_probabilities_match_marginal_integral():
     from catprep.homodyne import marginal_pdf
 
     stride = cfg.n_bins + 1
-    edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     for k, theta in enumerate(cfg.phase_set):
         for b in range(0, cfg.n_bins, 17):
             qs = np.linspace(edges[b], edges[b + 1], 201)
@@ -205,8 +221,8 @@ def test_truth_beats_random_challengers():
 
 def test_log_likelihood_minus_inf_sentinel():
     # a populated bin with zero probability under the state
-    cfg = TomoConfig(dim_recon=2, phase_set=(0.0,), bin_width=20.0, q_max=10.0)
-    records = (np.array([0.0]), np.array([50.0]))  # lands in overflow only
+    cfg = TomoConfig(dim_recon=2, phase_set=(0.0,), bin_width=2 * Q_SUPPORT)
+    records = (np.array([0.0]), np.array([5 * Q_SUPPORT]))  # lands in overflow only
     ll = log_likelihood(basis_state(0, 2), records, cfg)
     assert ll == -np.inf
 
@@ -232,9 +248,10 @@ def test_bin_width_insensitivity():
     assert abs(f1 - f2) <= 0.01
 
 
-def test_non_converged_flag():
+def test_non_converged_flag(monkeypatch):
+    monkeypatch.setattr(tomography, "MAX_ITERS", 3)
     records = sample_homodyne(cat(0.7, "odd", 20), default_phase_set(), 2_000, seed=1)
-    result = mle_reconstruct(records, TomoConfig(max_iters=3))
+    result = mle_reconstruct(records, TomoConfig())
     assert not result.converged
     assert result.iterations == 3
 
@@ -273,7 +290,7 @@ def reference_povm(cfg):
     """The POVM built phase by phase, one lossy acceptance operator per
     phase, with no use of phase covariance."""
     dim, n_phases = cfg.dim_recon, len(cfg.phase_set)
-    edges = -cfg.q_max + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     elements = []
     for theta in cfg.phase_set:
@@ -293,7 +310,7 @@ def reference_mle(records, cfg):
     rho = np.eye(cfg.dim_recon, dtype=complex) / cfg.dim_recon
     probs = np.einsum("jab,ba->j", pi_act, rho).real
     ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         r = np.einsum("j,jab->ab", f_act / np.clip(probs, P_FLOOR, None), pi_act)
         rho = r @ rho @ r
         rho = 0.5 * (rho + rho.conj().T)
@@ -302,9 +319,9 @@ def reference_mle(records, cfg):
         new_ll = _frequencies_ll(f_act, np.clip(probs, P_FLOOR, None))
         assert new_ll >= ll - LL_SLACK * abs(ll)
         gain, ll = new_ll - ll, new_ll
-        if gain < cfg.tol:
+        if gain < GAIN_TOL:
             return rho, iterations, True
-    return rho, cfg.max_iters, False
+    return rho, MAX_ITERS, False
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,13 +329,12 @@ def reference_mle(records, cfg):
     dim=st.integers(2, 12),
     eta=st.floats(0.3, 1.0),
     bin_width=st.floats(0.05, 3.0),
-    q_max=st.floats(1.0, 10.0),
     phases=st.lists(st.floats(-np.pi, 2 * np.pi), min_size=1, max_size=7),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, q_max, phases, seed):
+def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, phases, seed):
     # phase sets need not be equally spaced, nor lie in [0, pi)
-    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width, q_max=q_max,
+    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width,
                      phase_set=tuple(phases))
     rho = random_density(dim, seed)
     povm, factors = reference_povm(cfg), _povm_factors(cfg)
@@ -348,7 +364,7 @@ def test_mle_matches_full_povm_iteration(kind, eta):
     rho, _, ref_converged = reference_mle(records, cfg)
     result = mle_reconstruct(records, cfg)
     assert ref_converged and result.converged
-    assert result.iterations < cfg.max_iters
+    assert result.iterations < MAX_ITERS
     ll_ref = log_likelihood(MixedState(rho), records, cfg)
     assert result.log_likelihood >= ll_ref
     assert result.log_likelihood == pytest.approx(log_likelihood(result.state, records, cfg),
@@ -397,7 +413,8 @@ def single_phase_bin_records():
     phases = default_phase_set(3)
     qs = np.linspace(-1.45, 1.45, 59)
     thetas = np.repeat(phases, qs.size)
-    return np.append(thetas, [phases[2], phases[1]]), np.append(np.tile(qs, 3), [2.33, 5.0])
+    return (np.append(thetas, [phases[2], phases[1]]),
+            np.append(np.tile(qs, 3), [2.33, 2 * Q_SUPPORT]))
 
 
 @pytest.mark.parametrize("case", ["coherent_plus", "single_phase_bin"])
@@ -410,7 +427,9 @@ def test_mle_on_populated_columns_matches_full_povm(case):
         cfg = TomoConfig(eta_correction=0.85)
     else:
         records = single_phase_bin_records()
-        cfg = TomoConfig(dim_recon=6, phase_set=default_phase_set(3), bin_width=0.5, q_max=4.0)
+        # at dim_recon 6 the bins hold all of the support to rounding, which
+        # leaves the overflow element no probability to give a record
+        cfg = TomoConfig(dim_recon=12, phase_set=default_phase_set(3), bin_width=0.5)
     counts = bin_records(records, cfg).reshape(len(cfg.phase_set), -1)
     populated = counts.any(axis=0)
     assert 0 < populated.sum() < populated.size  # the fringes are empty in every phase
