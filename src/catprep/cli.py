@@ -128,10 +128,11 @@ def _parse_grid(node, name: str) -> np.ndarray:
         grid = np.array([_float({name: v}, name, None) for v in node])
     elif isinstance(node, dict):
         try:
-            grid = np.linspace(_float(node, "start", None), _float(node, "stop", None),
-                               _int(node, "num", None))
-        # a bad key, a negative num, or one numpy cannot size or allocate
-        except (ValueError, IndexError, MemoryError) as exc:
+            num = _int(node, "num", None)
+            if num > np.iinfo(np.intp).max // 8:  # more bytes than an array can address
+                raise ConfigError(f"num {num} is more values than a float64 array can hold")
+            grid = np.linspace(_float(node, "start", None), _float(node, "stop", None), num)
+        except (ValueError, MemoryError) as exc:  # a bad key or num, or one numpy cannot allocate
             raise ConfigError(f"{name}: {exc}") from exc
     else:
         raise ConfigError(f"{name}: need start/stop/num or a list")

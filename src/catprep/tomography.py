@@ -229,7 +229,8 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     Converged when a step gains less than GAIN_TOL and the gap
     lambda_max(R) - 1 is at most GAP_TOL. The gap bounds LL* - LL, since LL
     is concave and Tr R rho = 1; a gain below GAIN_TOL alone can stop on a
-    plateau of the coherent targets. Otherwise stops after MAX_ITERS.
+    plateau of the coherent targets. Otherwise stops after MAX_ITERS. A bin at P_FLOOR
+    voids Tr R rho = 1: not converged, and the log likelihood is unfloored (-inf at p <= 0).
     """
     counts = bin_records(records, cfg)
     if np.count_nonzero(counts) < 2:  # none, or all in one bin
@@ -296,9 +297,10 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
         rho, probs, ll = cand, cand_probs, cand_ll
         step *= STEP_GROWTH
         if gain < GAIN_TOL and gap(probs) <= GAP_TOL:
-            converged = True
+            converged = bool(probs.min() > P_FLOOR)  # a floored probability voids the bound
             break
-    return ReconResult(MixedState(rho), iterations, ll, converged, gap(probs))
+    return ReconResult(MixedState(rho), iterations, _frequencies_ll(f_act, probs), converged,
+                       gap(probs))
 
 
 def fidelity_to_truth(result_state: MixedState, truth) -> float:

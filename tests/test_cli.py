@@ -25,6 +25,7 @@ from catprep.cli import (
 )
 from catprep.states import cat
 from catprep.wigner import WignerGrid, write_grid_csv
+from oracles import read_grid_csv, wigner_series
 
 
 NAN = float("nan")  # json writes NaN, and Python's json reads it back
@@ -157,7 +158,26 @@ def test_prepare_outputs(tmp_path):
     wmeta = json.loads((out / "wigner.json").read_text())
     assert wmeta["convention"] == "snu-x2-norm1"
     assert wmeta["w_origin"] < 0  # odd-parity state
-    assert wmeta["negativity_min"] <= wmeta["w_origin"]
+    assert wmeta["negativity_min"] <= wmeta["w_origin"] + 1e-15  # grid and parity sum round apart
+
+
+def test_prepare_wide_wigner_axes_match_series(tmp_path):
+    # |p| to 30 is past the support radius of dim 25: the node rule caps the
+    # spacing there, and every value stays finite and matches the series
+    doc = {**PREP_DOC, "wigner": {"min_snu": -30.0, "max_snu": 30.0, "step_snu": 0.25}}
+    cfg = write_config(tmp_path, "prep.json", doc)
+    out = tmp_path / "out"
+    assert run(["prepare", "--config", cfg, "--out", out]) == EXIT_OK
+    grid = read_grid_csv(out / "wigner.csv")
+    xs, ps, values = grid.xs, grid.ps, grid.values
+    assert values.shape == (241, 241) and np.isfinite(values).all()
+    pairs = json.loads((out / "state.json").read_text())["rho"]
+    rho = np.array([complex(*v) for v in pairs]).reshape(25, 25)
+    rng = np.random.default_rng(0)  # points inside |x|, |p| <= 18, where W is not negligible,
+    rows, cols = rng.integers(48, 193, (2, 200))  # then anywhere on the grid
+    rows, cols = np.append(rows, rng.integers(0, 241, 50)), np.append(cols, rng.integers(0, 241, 50))
+    want = wigner_series(rho, xs[cols], ps[rows])
+    assert np.abs(values[rows, cols] - want).max() <= 1e-14
 
 
 def test_prepare_point_mode_density_flag(tmp_path):
@@ -427,11 +447,13 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-320}}, "bin_width"),
         ("scan", {**SCAN_DOC, "dim": DIM_400_DIGITS}, "dim"),
         ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 2**63 - 1}},
-         "q_grid_snu"),
+         "q_grid_snu: num 9223372036854775807 is more values than a float64 array can hold"),
+        ("scan", {**SCAN_DOC, "eta_grid": {"start": 0.5, "stop": 1.0, "num": 2**60}},
+         "eta_grid: num 1152921504606846976 is more values than a float64 array can hold"),
     ],
     ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
          "custom_coefficient_not_a_pair", "bin_width_infinite_count", "dim_past_64_bits",
-         "q_grid_num_unsizable"],
+         "q_grid_num_unsizable", "eta_grid_num_past_array_bytes"],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, doc, key):
     # library messages reach the user unwrapped, so they must name the key themselves

@@ -441,3 +441,29 @@ def test_mle_on_populated_columns_matches_full_povm(case):
     assert result.log_likelihood == pytest.approx(full_ll, rel=1e-12, abs=0)
     assert result.optimality_gap == pytest.approx(full_povm_gap(result.state, records, cfg),
                                                   rel=0, abs=1e-10)
+
+
+def test_mle_never_certifies_a_floored_probability():
+    # at dim_recon 6 the overflow element gives the record at 2 * Q_SUPPORT no
+    # probability under any state; P_FLOOR keeps the iteration finite, but
+    # Tr R rho = 1 fails there, so the gap bounds nothing
+    records = single_phase_bin_records()
+    cfg = TomoConfig(dim_recon=6, phase_set=default_phase_set(3), bin_width=0.5)
+    result = mle_reconstruct(records, cfg)
+    assert not result.converged
+    assert result.log_likelihood == log_likelihood(result.state, records, cfg) == -np.inf
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_records_keep_every_probability_above_the_floor(seed):
+    # sampled records never reach the overflow element, so at the tomo command's
+    # settings the floor never binds and a converged result keeps its likelihood
+    truth = cat(0.7, "odd", 30)
+    cfg = TomoConfig(eta_correction=0.85)
+    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=seed)
+    result = mle_reconstruct(records, cfg)
+    counts = bin_records(records, cfg)
+    probs = _probabilities(result.state.mat, *_povm_factors(cfg))[counts > 0]
+    assert result.converged and probs.min() > P_FLOOR
+    assert result.log_likelihood == pytest.approx(
+        _frequencies_ll(counts[counts > 0] / counts.sum(), probs), rel=1e-12, abs=0)

@@ -15,7 +15,6 @@ from catprep.rsp import TABLE1
 from catprep.states import ResourceParams, cat, coherent, hybrid_entangled
 from catprep.wigner import (
     CONVENTION_TAG,
-    WignerGrid,
     default_grid_axes,
     grid_metadata,
     negativity_min,
@@ -24,8 +23,10 @@ from catprep.wigner import (
     wigner_point,
     write_grid_csv,
 )
+from oracles import read_grid_csv, wigner_series_grid
 
 INV_2PI = 1 / (2 * np.pi)
+KERNEL_TOL = 1e-14  # the kernel's stated agreement with the Laguerre series
 
 
 def random_density(dim, seed):
@@ -78,13 +79,17 @@ def test_origin_from_parity_matches_kernel(dim, seed, pure):
     state = PureState(np.linalg.eigh(rho)[1][:, -1]) if pure else MixedState(rho)
     got = wigner_origin(state)
     assert np.isclose(got, wigner_point(state, 0.0, 0.0), rtol=0, atol=1e-15)
-    assert got == wigner_grid(state, [0.0], [0.0]).values[0, 0]  # summed in the kernel's order
+    assert np.isclose(got, wigner_grid(state, [0.0], [0.0]).values[0, 0], rtol=0, atol=1e-15)
 
 
 def assert_grid_matches_points(rho, xs, ps):
+    # the node spacing follows max|p| of the whole axis, so a grid and its points
+    # differ in rounding; each must match the series to the kernel's tolerance
     grid = wigner_grid(MixedState(rho), xs, ps)
     points = [[wigner_point(MixedState(rho), x, p) for x in xs] for p in ps]
-    assert np.array_equal(grid.values, np.array(points))  # bitwise, not to a tolerance
+    want = wigner_series_grid(rho, xs, ps)
+    assert np.abs(grid.values - want).max() <= KERNEL_TOL
+    assert np.abs(np.array(points) - want).max() <= KERNEL_TOL
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,7 +121,25 @@ def test_grid_equals_points_where_no_radius_repeats(dim, seed, xs, ps):
 @given(dim=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
        x=st.floats(-6.0, 6.0), p=st.floats(-6.0, 6.0))
 def test_one_point_grid_equals_point(dim, seed, x, p):
-    assert_grid_matches_points(random_density(dim, seed), np.array([x]), np.array([p]))
+    state = MixedState(random_density(dim, seed))
+    got = wigner_point(state, x, p)
+    assert wigner_grid(state, [x], [p]).values[0, 0] == got  # the same call, bit for bit
+    assert abs(got - wigner_series_grid(state.mat, [x], [p])[0, 0]) <= KERNEL_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), pure=st.booleans(),
+       xs=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=9, unique=True),
+       ps=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=9, unique=True))
+def test_grid_matches_series_within_node_rule(dim, seed, pure, xs, ps):
+    # the node count follows from dim and max|p| alone; a rule with too few nodes
+    # fails here first at small dim or at large |x| and |p|
+    rho = random_density(dim, seed)
+    if pure:
+        v = np.linalg.eigh(rho)[1][:, -1]
+        rho = np.outer(v, v.conj())
+    got = wigner_grid(MixedState(rho), xs, ps).values
+    assert np.abs(got - wigner_series_grid(rho, xs, ps)).max() <= KERNEL_TOL
 
 
 @pytest.mark.parametrize(
@@ -272,15 +295,6 @@ def test_default_grid_axes_refuses_a_step_that_does_not_divide():
                          (-1.0, 1.0, np.nan)):
         with pytest.raises(ValueError):
             default_grid_axes(lo, hi, step)
-
-
-def read_grid_csv(path) -> WignerGrid:
-    """The grid of a file written by write_grid_csv: two axis rows, then the matrix."""
-    with open(path) as fh:
-        xs = np.array(fh.readline().split(",")[1:], dtype=float)
-        ps = np.array(fh.readline().split(",")[1:], dtype=float)
-        values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return WignerGrid(xs, ps, values)
 
 
 def test_grid_csv_round_trip(tmp_path):
