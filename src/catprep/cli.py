@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,8 @@ def _fmt_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):  # JSON has no inf or nan, and json.loads reads neither
+            raise ValueError(f"cannot write the non-finite number {float(value)!r} as JSON")
         return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)

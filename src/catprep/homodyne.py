@@ -23,6 +23,7 @@ Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q
 WINDOW_NODES = 21  # Gauss-Legendre nodes across an acceptance window
 TAIL_NODES = 160  # Gauss-Legendre nodes on each side of a two-sided tail
 MIN_SUCCESS = np.finfo(float).tiny  # smaller acceptance probabilities overflow when divided by
+PDF_BLOCK = 2**17  # elements (1 MiB) of one product in marginal_pdf, which bounds its memory
 
 
 def quad_wavefunctions(dim: int, q) -> np.ndarray:
@@ -45,17 +46,23 @@ def marginal_pdf(state, theta, q) -> np.ndarray:
 
     theta may be one phase, giving shape (n_q,), or a 1-D array of phases,
     giving one row per phase; the wavefunctions on q are evaluated once.
-    psi is real and rho Hermitian, so only Re(rho_theta) contributes.
+    psi is real and rho Hermitian, so only Re(rho_theta) contributes: the
+    phases' Re(rho_theta) are stacked into one matrix, and each block of
+    PDF_BLOCK elements' worth of q takes one product with it.
     """
     rho = _as_density(state)
     dim = rho.shape[0]
     psi = quad_wavefunctions(dim, q)
-    rows = []
-    for t in np.atleast_1d(np.asarray(theta, dtype=float)):
-        phase = np.exp(1j * t * np.arange(dim))
-        m = (phase[:, None] * rho * phase.conj()[None, :]).real
-        rows.append(np.sum(psi * (m @ psi), axis=0))
-    return rows[0] if np.ndim(theta) == 0 else np.array(rows)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    phase = np.exp(1j * thetas[:, None] * np.arange(dim))
+    stacked = (phase[:, :, None] * rho * phase.conj()[:, None, :]).real.reshape(-1, dim)
+    pdf = np.empty((thetas.size, psi.shape[1]))
+    width = max(1, PDF_BLOCK // len(stacked))
+    for start in range(0, psi.shape[1], width):
+        block = psi[:, start:start + width]
+        prod = (stacked @ block).reshape(thetas.size, dim, -1)
+        pdf[:, start:start + width] = np.einsum("knj,nj->kj", prod, block)
+    return pdf[0] if np.ndim(theta) == 0 else pdf
 
 
 @dataclass

@@ -6,14 +6,17 @@ channel; a record set is the pair (thetas, qs) of float arrays, one entry per
 shot. Reconstruction bins the records, builds window-integrated quadrature
 POVM elements pushed through the adjoint of the loss channel (so the
 recovered state refers to the field before detection loss), and maximises
-the likelihood by accelerated projected gradient over density matrices.
-Loss commutes with phase rotations, so the elements of every phase follow
-from the theta = 0 set and a table of phase factors: the bin probabilities
-and the gradient are each two small real matrix products over populated bins.
+the likelihood by accelerated projected gradient over density matrices,
+finished by Newton steps on the optimal face. Loss commutes with phase
+rotations, so the elements of every phase follow from the theta = 0 set and
+a table of phase factors: the bin probabilities and the gradient are each two
+small real matrix products over populated bins, and the Newton steps' Jacobian
+one more.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,9 @@ GAP_TOL = 1e-6  # certified bound on LL* - LL that, with a gain below GAIN_TOL, 
 MAX_ITERS = 2000  # the MLE stops here, unconverged
 STEP_GROWTH = 1.2  # the gradient step grows by this after every accepted step
 BACKTRACKS = 60  # step halvings before a projected step counts as failed
+SWITCH_GAP = 1e-1  # APG hands the iterate to Newton steps once the gap falls below this
+SWITCH_EVERY = 5  # APG iterations between checks of the switch gap
+RANK_TOL = 1e-12  # eigenvalues of the APG iterate above this span the face Newton polishes
 
 
 def default_phase_set(n_phases: int = 12) -> tuple[float, ...]:
@@ -95,9 +101,12 @@ def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: in
     idx = rng.integers(0, phases.size, size=n_samples)
     us = rng.random(n_samples)
     qs = np.empty(n_samples)
-    for k, table in enumerate(cdf):
-        mask = idx == k
-        qs[mask] = np.interp(us[mask], table, qgrid)
+    order = np.argsort(idx, kind="stable")  # phase by phase, each in stream order
+    counts = np.bincount(idx, minlength=phases.size)
+    ends = np.cumsum(counts)
+    for table, start, end in zip(cdf, ends - counts, ends):
+        draws = order[start:end]
+        qs[draws] = np.interp(us[draws], table, qgrid)
     return phases[idx], qs
 
 
@@ -159,7 +168,7 @@ def bin_records(records, cfg: TomoConfig) -> np.ndarray:
 @dataclass
 class ReconResult:
     state: MixedState
-    iterations: int
+    iterations: int  # APG iterations plus Newton steps
     log_likelihood: float
     converged: bool
     optimality_gap: float  # lambda_max(R) - 1 at state, a bound on LL* - LL
@@ -197,6 +206,78 @@ def _project_density(h: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+def _face_factor(rho) -> np.ndarray:
+    """T with T T^H = rho on its eigenvalues above RANK_TOL: dim x r, r the rank."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > RANK_TOL
+    return np.ascontiguousarray(v[:, keep] * np.sqrt(w[keep]))
+
+
+def _fisher_rows(t, bins, phases, active, scale) -> np.ndarray:
+    """Rows scale_j J_j over the active elements j of _probabilities, where J_j =
+    2 (Re, Im)(Pi_j T), interleaved as T.view(float), is the derivative of
+    p_j = Tr[Pi_j T T^H] in the real coordinates of T. Pi_{k,b} T =
+    e^{-i theta_k m} (P_b @ (e^{i theta_k n} T)): one real product of the P_b with
+    every phase's rotated T, then the active rows rotated back."""
+    dim, r = t.shape
+    u = phases[:, :dim]  # e^{i theta_k n}, the m = 0 row of each phase's factors
+    cols = np.ascontiguousarray((u[:, :, None] * t).transpose(1, 0, 2)).view(float)
+    prod = (bins.reshape(-1, dim) @ cols.reshape(dim, -1)).view(complex)
+    k, b = np.divmod(active, len(bins))
+    rows = prod.reshape(len(bins), dim, len(phases), r)[b, :, k].reshape(len(active), -1)
+    rows *= np.repeat((2 * scale)[:, None] * u.conj()[k], r, axis=1)
+    return rows.view(float)
+
+
+def _newton_direction(t, fisher_rows, grad) -> np.ndarray:
+    """The Newton direction dT of LL(T T^H) on Tr T T^H = 1.
+
+    In the real coordinates x = T.view(float) the bin probabilities are quadratic,
+    with Jacobian rows J_j (_fisher_rows), so LL has gradient 2 (R T).view(float)
+    and Hessian 2 R - J^T diag(f / p^2) J, R (grad) acting on each column of T;
+    fisher_rows are the J_j scaled by sqrt(f_j) / p_j. The Lagrangian of the trace
+    constraint, multiplier mu = Tr R rho, subtracts 2 mu. One bordered (KKT) solve
+    holds the step tangent to Tr T T^H = 1 and orthogonal to the r^2 gauge
+    directions T A, A anti-Hermitian, which leave rho = T T^H unchanged and make
+    the Hessian singular."""
+    dim, r = t.shape
+    n = 2 * dim * r
+    x = t.view(float).ravel()
+    g = 2 * (grad @ t).view(float).ravel()
+    mu = (x @ g) / (2 * (x @ x))
+    cons = (t @ _gauge_basis(r)).reshape(r * r + 1, -1).view(float)
+    kkt = np.zeros((n + len(cons), n + len(cons)))
+    hess = kkt[:n, :n].reshape(dim, r, 2, dim, r, 2)  # a view: (row m, column c, Re/Im)
+    for c in range(r):
+        hess[:, c, 0, :, c, 0] = hess[:, c, 1, :, c, 1] = 2 * grad.real
+        hess[:, c, 1, :, c, 0] = 2 * grad.imag
+        hess[:, c, 0, :, c, 1] = -2 * grad.imag
+    kkt[:n, :n] -= fisher_rows.T @ fisher_rows
+    kkt[np.arange(n), np.arange(n)] -= 2 * mu
+    kkt[:n, n:] = cons.T
+    kkt[n:, :n] = cons
+    rhs = np.concatenate((2 * mu * x - g, [(1 - x @ x) / 2], np.zeros(r * r)))
+    return np.linalg.solve(kkt, rhs)[:n].view(complex).reshape(dim, r)
+
+
+@functools.lru_cache(maxsize=16)
+def _gauge_basis(r: int) -> np.ndarray:
+    """The r x r identity, then a real basis of the anti-Hermitian r x r matrices,
+    as one (r^2 + 1, r, r) array; read-only, as every caller shares it."""
+    basis = [np.eye(r, dtype=complex)]
+    for i in range(r):
+        for j in range(i, r):
+            e = np.zeros((r, r), dtype=complex)
+            e[i, j] = e[j, i] = 1
+            basis.append(1j * e)
+            if i < j:
+                e[j, i] = -1
+                basis.append(e)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
+
+
 def log_likelihood(state, records, cfg: TomoConfig) -> float:
     """Frequency-weighted log likelihood of the binned records; -inf when a
     populated bin has zero probability under the state."""
@@ -212,7 +293,8 @@ def log_likelihood(state, records, cfg: TomoConfig) -> float:
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     """Maximum likelihood over density matrices by accelerated projected
     gradient (APG; Shang, Zhang, Ng, PRA 95, 062336 (2017)), from the
-    maximally mixed state.
+    maximally mixed state, finished by damped Newton steps on the face of the
+    optimum.
 
     The gradient of the log likelihood LL is R = sum_j (f_j / p_j) Pi_j over
     populated bins, built from the factored POVM, so no iteration touches the
@@ -226,11 +308,22 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     iterates never lower LL: a step from an accepted iterate that lowers it
     beyond LL_SLACK, backtracking that runs out, or a NaN raises ValueError.
 
-    Converged when a step gains less than GAIN_TOL and the gap
-    lambda_max(R) - 1 is at most GAP_TOL. The gap bounds LL* - LL, since LL
-    is concave and Tr R rho = 1; a gain below GAIN_TOL alone can stop on a
-    plateau of the coherent targets. Otherwise stops after MAX_ITERS. A bin at P_FLOOR
-    voids Tr R rho = 1: not converged, and the log likelihood is unfloored (-inf at p <= 0).
+    Every SWITCH_EVERY iterations APG checks the gap lambda_max(R) - 1; once it
+    is below SWITCH_GAP, the iterate's eigenvalues above RANK_TOL fix a rank r
+    and rho = T T^H, T dim x r, and Newton steps take over (_newton_direction,
+    with J and the Hessian built from the factored POVM). Their step halves
+    until it does not lower LL. A Newton step that cannot gain while the gap
+    is open means the optimum lies off this face: APG resumes, from the
+    polished iterate with its momentum restarted, or where it stopped if no
+    Newton step moved rho, and hands over again at its next check. Newton
+    steps count as iterations.
+
+    Converged when a step gains less than GAIN_TOL and the gap is at most
+    GAP_TOL. The gap bounds LL* - LL (Glancy, Knill, Girard, NJP 14, 095017
+    (2012)), since LL is concave and Tr R rho = 1; a gain below GAIN_TOL alone
+    can stop on a plateau of the coherent targets. Otherwise stops after
+    MAX_ITERS. A bin at P_FLOOR voids Tr R rho = 1: not converged, and the log
+    likelihood is unfloored (-inf at p <= 0).
     """
     counts = bin_records(records, cfg)
     if np.count_nonzero(counts) < 2:  # none, or all in one bin
@@ -257,48 +350,85 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     def gap(probs):
         return float(np.linalg.eigvalsh(gradient(probs))[-1] - 1.0)
 
+    def newton(t, probs, ll):
+        """A damped Newton step from rho = T T^H; the line search never lowers LL,
+        and a step it cannot make gain returns None."""
+        grad = gradient(probs)
+        rows = _fisher_rows(t, bins, phases, active, np.sqrt(f_act) / np.maximum(probs, P_FLOOR))
+        try:
+            direction = _newton_direction(t, rows, grad)
+        except np.linalg.LinAlgError:  # a singular KKT matrix: no step
+            return None
+        if not np.vdot(grad @ t, direction).real > 0:  # not uphill: the Hessian is not
+            return None  # negative definite on this face
+        alpha = 1.0
+        for _ in range(BACKTRACKS):
+            cand_t = t + alpha * direction
+            cand_t /= np.linalg.norm(cand_t)
+            cand = cand_t @ cand_t.conj().T
+            cand = 0.5 * (cand + cand.conj().T)
+            cand_probs = probabilities(cand)
+            cand_ll = ll_of(cand_probs)
+            if cand_ll >= ll:  # also fails on a NaN
+                return cand_t, cand, cand_probs, cand_ll
+            alpha /= 2
+        return None
+
     rho = np.eye(cfg.dim_recon, dtype=complex) / cfg.dim_recon
     probs = probabilities(rho)
     ll = ll_of(probs)
     sigma, sigma_probs, sigma_ll, momentum = rho, probs, ll, 1.0
     step = 1.0
+    factor = None  # rho = factor factor^H while Newton steps polish it; None under APG
+    polished_from = None  # the APG iterate the last polish started from
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERS + 1):
-        grad = gradient(sigma_probs)
-        first_step = step  # a restart tries rho with the step sigma started from
-        for _ in range(BACKTRACKS):
-            cand = _project_density(sigma + step * grad)
-            cand_probs = probabilities(cand)
-            cand_ll = ll_of(cand_probs)
-            move = cand - sigma
-            bound = sigma_ll + np.vdot(grad, move).real - np.vdot(move, move).real / (2 * step)
-            if cand_ll >= bound:
-                break
-            step /= 2
-        else:  # also a NaN, which fails every comparison
-            raise ValueError("likelihood decreased")
-        if not cand_ll >= ll:
-            if sigma is not rho:  # restart the momentum from the iterate
-                sigma, sigma_probs, sigma_ll, momentum, step = rho, probs, ll, 1.0, first_step
-                continue
-            if not cand_ll >= ll - LL_SLACK * abs(ll):
+        if factor is not None:  # a step that cannot gain stays put
+            stay = factor, rho, probs, ll
+            factor, cand, cand_probs, cand_ll = newton(factor, probs, ll) or stay
+        else:
+            grad = gradient(sigma_probs)
+            first_step = step  # a restart tries rho with the step sigma started from
+            for _ in range(BACKTRACKS):
+                cand = _project_density(sigma + step * grad)
+                cand_probs = probabilities(cand)
+                cand_ll = ll_of(cand_probs)
+                move = cand - sigma
+                bound = sigma_ll + np.vdot(grad, move).real - np.vdot(move, move).real / (2 * step)
+                if cand_ll >= bound:
+                    break
+                step /= 2
+            else:  # also a NaN, which fails every comparison
                 raise ValueError("likelihood decreased")
-            cand, cand_probs, cand_ll = rho, probs, ll  # rounding: stay put
-        next_momentum = (1 + np.sqrt(1 + 4 * momentum**2)) / 2
-        c = (momentum - 1) / next_momentum
-        sigma_probs = cand_probs + c * (cand_probs - probs)  # p is linear in rho
-        if sigma_probs.min() > 0:
-            sigma, momentum = (cand + c * (cand - rho) if c else cand), next_momentum
-            sigma_ll = ll_of(sigma_probs)
-        else:  # sigma would leave the likelihood's domain
-            sigma, sigma_probs, sigma_ll, momentum = cand, cand_probs, cand_ll, 1.0
+            if not cand_ll >= ll:
+                if sigma is not rho:  # restart the momentum from the iterate
+                    sigma, sigma_probs, sigma_ll, momentum, step = rho, probs, ll, 1.0, first_step
+                    continue
+                if not cand_ll >= ll - LL_SLACK * abs(ll):
+                    raise ValueError("likelihood decreased")
+                cand, cand_probs, cand_ll = rho, probs, ll  # rounding: stay put
+            next_momentum = (1 + np.sqrt(1 + 4 * momentum**2)) / 2
+            c = (momentum - 1) / next_momentum
+            sigma_probs = cand_probs + c * (cand_probs - probs)  # p is linear in rho
+            if sigma_probs.min() > 0:
+                sigma, momentum = (cand + c * (cand - rho) if c else cand), next_momentum
+                sigma_ll = ll_of(sigma_probs)
+            else:  # sigma would leave the likelihood's domain
+                sigma, sigma_probs, sigma_ll, momentum = cand, cand_probs, cand_ll, 1.0
+            step *= STEP_GROWTH
         gain = cand_ll - ll
         rho, probs, ll = cand, cand_probs, cand_ll
-        step *= STEP_GROWTH
-        if gain < GAIN_TOL and gap(probs) <= GAP_TOL:
-            converged = bool(probs.min() > P_FLOOR)  # a floored probability voids the bound
-            break
+        if gain < GAIN_TOL:
+            if gap(probs) <= GAP_TOL:
+                converged = bool(probs.min() > P_FLOOR)  # a floored probability voids the bound
+                break
+            if factor is not None:  # the optimum is off this face: APG resumes,
+                factor = None  # with its momentum unless the Newton steps moved rho
+                if rho is not polished_from:
+                    sigma, sigma_probs, sigma_ll, momentum = rho, probs, ll, 1.0
+        elif factor is None and iterations % SWITCH_EVERY == 0 and gap(probs) < SWITCH_GAP:
+            factor, polished_from = _face_factor(rho), rho
     return ReconResult(MixedState(rho), iterations, _frequencies_ll(f_act, probs), converged,
                        gap(probs))
 

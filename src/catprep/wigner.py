@@ -45,10 +45,17 @@ def default_grid_axes(lo: float = GRID_MIN, hi: float = GRID_MAX, step: float = 
     if not (lo < hi and step > 0):  # written so that NaN fails
         raise ValueError("wigner axes need min_snu < max_snu and step_snu > 0")
     steps = (hi - lo) / step
-    if not (steps < np.inf and abs(steps - round(steps)) <= STEP_SLACK * steps):
+    if not steps < np.iinfo(np.intp).max // 8:  # more bytes than an array can address
+        raise ValueError(f"wigner step_snu {float(step)!r} makes {steps:.3g} steps across "
+                         f"max_snu - min_snu = {float(hi - lo)!r}, more values than a "
+                         "float64 array can hold")
+    if not abs(steps - round(steps)) <= STEP_SLACK * steps:
         raise ValueError(f"wigner step_snu {float(step)!r} does not divide "
                          f"max_snu - min_snu = {float(hi - lo)!r}")
-    axis = np.linspace(lo, hi, round(steps) + 1)
+    try:
+        axis = np.linspace(lo, hi, round(steps) + 1)
+    except MemoryError as exc:  # a step count numpy cannot allocate
+        raise ValueError(f"wigner step_snu {float(step)!r}: {exc}") from exc
     return axis, axis.copy()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -42,6 +43,20 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def cli_json_outputs_parse(tmp_path):
+    """Every JSON file a test leaves below an output directory parses as strict
+    JSON; the configs in tmp_path itself are inputs and may hold NaN."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        if path.parent != tmp_path:
+            json.loads(path.read_text(), parse_constant=refuse_constant)
+
+
 def test_write_json_format(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"b": 0.1, "a": [1, 2.5, None, True], "c": {"z": "text", "y": 1e-17}}
@@ -56,6 +71,15 @@ def test_write_json_format(tmp_path):
     # keys serialized in sorted order
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert "0.10000000000000001" in text  # 17 significant digits
+
+
+@pytest.mark.parametrize("value", [float("-inf"), float("inf"), NAN, np.float64("-inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # json.loads reads no inf or nan, so the writer refuses them, and leaves no file
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_json({"x": value}, path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_parse_grid_variants():
@@ -450,10 +474,16 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
          "q_grid_snu: num 9223372036854775807 is more values than a float64 array can hold"),
         ("scan", {**SCAN_DOC, "eta_grid": {"start": 0.5, "stop": 1.0, "num": 2**60}},
          "eta_grid: num 1152921504606846976 is more values than a float64 array can hold"),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 1e-300}},
+         "wigner step_snu 1e-300 makes 8e+300 steps across max_snu - min_snu = 8.0, "
+         "more values than a float64 array can hold"),
+        ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 1e-17}},
+         "wigner step_snu 1e-17: Unable to allocate"),
     ],
     ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
          "custom_coefficient_not_a_pair", "bin_width_infinite_count", "dim_past_64_bits",
-         "q_grid_num_unsizable", "eta_grid_num_past_array_bytes"],
+         "q_grid_num_unsizable", "eta_grid_num_past_array_bytes", "wigner_step_unsizable",
+         "wigner_step_unallocatable"],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, doc, key):
     # library messages reach the user unwrapped, so they must name the key themselves
@@ -497,6 +527,18 @@ def test_failed_output_write_is_an_output_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert sorted(p.name for p in out.iterdir()) == ["fig1c.csv"]  # no .fig1c.csv.tmp left
     assert (out / "fig1c.csv").is_dir()
+
+
+def test_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a -inf log likelihood cannot be written as JSON: the run exits 3, recon.json is absent
+    real = tomography.mle_reconstruct
+    monkeypatch.setattr("catprep.cli.mle_reconstruct", lambda records, cfg: dataclasses.replace(
+        real(records, cfg), log_likelihood=float("-inf")))
+    cfg = write_config(tmp_path, "tomo.json", TOMO_DOC)
+    out = tmp_path / "out"
+    assert run(["tomo", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: cannot write the non-finite")
+    assert sorted(p.name for p in out.iterdir()) == ["records.csv"]  # no .recon.json.tmp left
 
 
 def test_unsizable_bin_count_is_a_numerical_failure(tmp_path, capsys):

@@ -103,6 +103,33 @@ def test_marginal_normalized_for_random_states():
             assert np.isclose(np.trapezoid(pdf, qs), 1.0, atol=1e-8)
 
 
+def marginal_pdf_per_phase(rho, thetas, qs):
+    """<q_theta| rho |q_theta> one phase at a time, all of q in one product."""
+    dim = rho.shape[0]
+    psi = quad_wavefunctions(dim, qs)
+    rows = []
+    for t in thetas:
+        phase = np.exp(1j * t * np.arange(dim))
+        m = (phase[:, None] * rho * phase.conj()[None, :]).real
+        rows.append(np.sum(psi * (m @ psi), axis=0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("block", [None, 7, 100])
+def test_stacked_marginals_match_the_per_phase_loop(monkeypatch, block):
+    # the stacked product over blocks of q is the same sums, so only rounding may differ;
+    # blocks of 7 and 100 elements cut q into one or more columns per product
+    if block is not None:
+        monkeypatch.setattr("catprep.homodyne.PDF_BLOCK", block)
+    rho = MixedState(random_density(9, seed=3))
+    thetas = np.array([0.0, 0.4, 2.0, -1.1, np.pi])
+    qs = np.linspace(-6, 6, 301)
+    want = marginal_pdf_per_phase(rho.mat, thetas, qs)
+    np.testing.assert_allclose(marginal_pdf(rho, thetas, qs), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(marginal_pdf(rho, 0.4, qs), want[1], rtol=0, atol=1e-15)
+    assert marginal_pdf(rho, 0.4, 0.3).shape == (1,)
+
+
 def test_conditioning_validation():
     with pytest.raises(ValueError):
         Conditioning(delta=-0.1)

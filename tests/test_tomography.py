@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from catprep import tomography
 from catprep.fock import MixedState, basis_state, fidelity
-from catprep.homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre
+from catprep.channels import loss_channel
+from catprep.homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 from catprep.rsp import TargetSpec, target_state
 from catprep.states import cat, coherent
 from catprep.tomography import (
@@ -15,6 +16,7 @@ from catprep.tomography import (
     MAX_ITERS,
     P_FLOOR,
     TomoConfig,
+    _fisher_rows,
     _frequencies_ll,
     _povm_factors,
     _probabilities,
@@ -90,6 +92,34 @@ def test_sampling_is_deterministic():
     assert np.any(a[1] != c[1])
 
 
+def sample_homodyne_by_masks(state, phase_set, n_samples, eta, seed):
+    """The sampler with one boolean mask per phase picking that phase's draws."""
+    rho = loss_channel(state, eta)
+    phases = np.asarray(phase_set, dtype=float)
+    qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + tomography.CDF_STEP / 2, tomography.CDF_STEP)
+    pdf = np.clip(marginal_pdf(rho, phases, qgrid), 0, None)
+    cdf = np.zeros_like(pdf)
+    cdf[:, 1:] = np.cumsum(np.diff(qgrid) * (pdf[:, 1:] + pdf[:, :-1]) / 2, axis=-1)
+    cdf /= cdf[:, -1:]
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, phases.size, size=n_samples)
+    us = rng.random(n_samples)
+    qs = np.empty(n_samples)
+    for k, table in enumerate(cdf):
+        qs[idx == k] = np.interp(us[idx == k], table, qgrid)
+    return phases[idx], qs
+
+
+@pytest.mark.parametrize("phase_set, n_samples", [(default_phase_set(), 3000), ((0.3,), 50),
+                                                  (default_phase_set(5), 1)])
+def test_sampler_fills_each_phase_as_masks_do(phase_set, n_samples):
+    # each phase's draws come from one slice of a stable argsort, in stream order
+    state = cat(0.7, "odd", 20)
+    got = sample_homodyne(state, phase_set, n_samples, eta=0.85, seed=9)
+    want = sample_homodyne_by_masks(state, phase_set, n_samples, 0.85, 9)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_sampling_rejects_empty_draw():
     with pytest.raises(ValueError):
         sample_homodyne(basis_state(0, 5), [0.0], 0)
@@ -163,8 +193,6 @@ def test_povm_probabilities_match_marginal_integral():
     state = cat(0.7, "odd", 10)
     rho = state.density().mat
     probs = np.einsum("jab,ba->j", povm, rho).real
-    from catprep.homodyne import marginal_pdf
-
     stride = cfg.n_bins + 1
     edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     for k, theta in enumerate(cfg.phase_set):
@@ -177,8 +205,6 @@ def test_povm_probabilities_match_marginal_integral():
 @pytest.mark.parametrize("dim", [8, 12])
 def test_povm_duality_with_loss_channel(dim):
     # Tr[Pi_corrected rho] = Tr[Pi loss(rho)] for every element
-    from catprep.channels import loss_channel
-
     cfg0 = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1))
     cfg = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1), eta_correction=0.85)
     rho = random_density(dim, seed=5)
@@ -345,6 +371,14 @@ def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, phas
     weights = np.random.default_rng(seed).uniform(0, 1, len(povm))
     want_r = np.einsum("j,jab->ab", weights, povm)
     assert np.allclose(_r_operator(weights, *factors), want_r, rtol=0, atol=1e-13)
+    # the Newton steps' scaled Jacobian rows 2 w_j (Re, Im)(Pi_j T) on a subset of elements
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, dim + 1))
+    t = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    active = np.flatnonzero(rng.random(len(povm)) < 0.7)
+    want_j = 2 * weights[active, None] * (povm[active] @ t).reshape(len(active), -1).view(float)
+    got_j = _fisher_rows(t, *factors, active, weights[active])
+    assert np.allclose(got_j, want_j, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -364,12 +398,98 @@ def test_mle_matches_full_povm_iteration(kind, eta):
     rho, _, ref_converged = reference_mle(records, cfg)
     result = mle_reconstruct(records, cfg)
     assert ref_converged and result.converged
-    assert result.iterations < MAX_ITERS
+    assert result.iterations < 50  # Newton steps end the run; APG alone took 80 to 219
     ll_ref = log_likelihood(MixedState(rho), records, cfg)
     assert result.log_likelihood >= ll_ref
     assert result.log_likelihood == pytest.approx(log_likelihood(result.state, records, cfg),
                                                   rel=0, abs=1e-12)
     assert -1e-12 <= result.optimality_gap <= GAP_TOL
+
+
+def route_through_permuted_columns(monkeypatch, seed):
+    """_probabilities and _r_operator over a fixed permutation of the bin columns:
+    the same sums, added in another order."""
+    probabilities, r_operator = tomography._probabilities, tomography._r_operator
+
+    def permuted_probabilities(rho, bins, phases):
+        perm = np.random.default_rng(seed).permutation(len(bins))
+        out = np.empty((len(phases), len(bins)))
+        out[:, perm] = probabilities(rho, bins[perm], phases).reshape(len(phases), -1)
+        return out.ravel()
+
+    def permuted_r_operator(weights, bins, phases):
+        perm = np.random.default_rng(seed).permutation(len(bins))
+        return r_operator(weights.reshape(len(phases), -1)[:, perm].ravel(), bins[perm], phases)
+
+    monkeypatch.setattr(tomography, "_probabilities", permuted_probabilities)
+    monkeypatch.setattr(tomography, "_r_operator", permuted_r_operator)
+
+
+RHO_SPREAD = 1e-10  # largest |delta rho| allowed when only the summation order changes
+
+
+@pytest.mark.parametrize("seed", [134, 138, 627625064])
+def test_reconstruction_does_not_depend_on_bin_column_order(monkeypatch, seed):
+    # sampling seeds where APG alone ended 5e-7 to 3e-5 apart: a last-bit difference
+    # flipped a backtracking or restart decision, and LL is flat to about GAP_TOL there.
+    # The Newton steps converge quadratically, so their end lies far closer to the optimum
+    truth = cat(0.7, "odd", 30)
+    cfg = TomoConfig(eta_correction=0.85)
+    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=seed)
+    base = mle_reconstruct(records, cfg)
+    for perm_seed in range(2):
+        with monkeypatch.context() as patch:
+            route_through_permuted_columns(patch, perm_seed)
+            result = mle_reconstruct(records, cfg)
+        assert base.converged and result.converged
+        np.testing.assert_allclose(result.state.mat, base.state.mat, rtol=0, atol=RHO_SPREAD)
+
+
+def test_polish_off_the_optimal_face_hands_back_to_apg(monkeypatch):
+    # switched at a gap of 1e-3, APG's iterate has rank 2 and the optimum rank 3: the
+    # Newton steps stall on the rank-2 face with the gap open, APG resumes from there
+    # and grows the third eigenvalue, and a later polish certifies the optimum
+    truth = cat(0.7, "odd", 30)
+    cfg = TomoConfig(eta_correction=0.85)
+    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=6)
+    reference = mle_reconstruct(records, cfg)
+    ranks = []
+    face_factor = tomography._face_factor
+
+    def recording_face_factor(rho):
+        t = face_factor(rho)
+        ranks.append(t.shape[1])
+        return t
+
+    monkeypatch.setattr(tomography, "_face_factor", recording_face_factor)
+    monkeypatch.setattr(tomography, "SWITCH_GAP", 1e-3)
+    result = mle_reconstruct(records, cfg)
+    optimum_rank = np.count_nonzero(np.linalg.eigvalsh(result.state.mat) > tomography.RANK_TOL)
+    assert ranks[0] == 2 and optimum_rank == 3 and len(ranks) > 1
+    assert result.converged and result.iterations < MAX_ITERS
+    assert -1e-12 <= result.optimality_gap <= GAP_TOL
+    # the same optimum as the polish that starts on the right face
+    assert result.log_likelihood == pytest.approx(reference.log_likelihood, rel=0, abs=1e-12)
+
+
+def test_polish_that_never_steps_leaves_the_apg_path_as_it_was(monkeypatch):
+    # each stalled hand-over that did not move rho costs one iteration and nothing else:
+    # APG goes on with its momentum, so it ends on the iterate APG alone ends on
+    records = sample_homodyne(cat(0.7, "odd", 30), default_phase_set(), 50_000, eta=0.85,
+                              seed=FROZEN_SEED)
+    cfg = TomoConfig(eta_correction=0.85)
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "SWITCH_GAP", 0.0)  # never hands over
+        apg = mle_reconstruct(records, cfg)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(tomography, "_newton_direction", singular)
+    stalled = mle_reconstruct(records, cfg)
+    assert apg.converged and stalled.converged
+    assert stalled.iterations > apg.iterations
+    assert np.array_equal(stalled.state.mat, apg.state.mat)
 
 
 def random_hermitian(dim, seed, scale):
