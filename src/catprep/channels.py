@@ -9,6 +9,7 @@ truncated space because loss only lowers the photon number.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -16,18 +17,35 @@ import numpy as np
 from .fock import MixedState, _as_density
 
 
+@functools.lru_cache(maxsize=16)
+def _sqrt_binomials(dim: int) -> np.ndarray:
+    """s[k, n] = sqrt(C(n, k)), zero for n < k, computed once per dim and
+    returned read-only because every caller shares it. Each exact integer
+    binomial is rounded to a float once; one that exceeds the float range
+    (n above about 1030) takes the lgamma form instead."""
+    s = np.zeros((dim, dim))
+    for n in range(dim):
+        binom = 1  # C(n, k), exact
+        for k in range(n + 1):
+            try:
+                s[k, n] = math.sqrt(binom)
+            except OverflowError:
+                s[k, n] = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1)
+                                          - math.lgamma(n - k + 1)))
+            binom = binom * (n - k) // (k + 1)
+    s.flags.writeable = False
+    return s
+
+
 def _amplitudes(eta, dim: int) -> np.ndarray:
     """c[..., k, n] = c_k(n), zero for n < k; eta's shape leads."""
     eta = np.asarray(eta, dtype=float)[..., None, None]
     if not np.all((eta >= 0.0) & (eta <= 1.0)):  # NaN fails too
         raise ValueError("eta must lie in [0, 1]")
-    log_fact = np.array([math.lgamma(m + 1) for m in range(dim)])  # log m!
     n = np.arange(dim)
     k = n[:, None]
-    kept = np.maximum(n - k, 0)
-    log_binom = log_fact[n] - log_fact[kept] - log_fact[k]
     # power(0, 0) = 1 covers the eta = 0 and eta = 1 endpoints
-    return np.triu(np.exp(0.5 * log_binom) * np.power(eta, kept / 2) * (1 - eta) ** (k / 2))
+    return _sqrt_binomials(dim) * np.power(eta, np.maximum(n - k, 0) / 2) * (1 - eta) ** (k / 2)
 
 
 def loss(mat: np.ndarray, eta) -> np.ndarray:

@@ -41,27 +41,60 @@ def quad_wavefunctions(dim: int, q) -> np.ndarray:
     return psi
 
 
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """Rows c_j with m = sum_j c_j c_j^T to rounding, for a stack (k, dim, dim)
+    of real positive semidefinite matrices: left-looking Cholesky with
+    diagonal pivoting, stopped once every residual diagonal is at most
+    dim * eps * the largest diagonal of m (N. J. Higham, "Analysis of the
+    Cholesky decomposition of a semi-definite matrix", 1990). Returns shape
+    (k, r, dim), r the most steps any matrix took, so r is at most the largest
+    numerical rank; a matrix that stopped earlier gets zero rows. The backward
+    error is elementwise, so sum_j (c_j . x)^2 stays close to x^T m x."""
+    k, dim, _ = m.shape
+    diag = np.diagonal(m, axis1=1, axis2=2).copy()  # of the residual m - sum_j c_j c_j^T
+    tol = dim * np.finfo(float).eps * diag.max(axis=1)
+    at = np.arange(k)
+    c = np.zeros((k, dim, dim))
+    for r in range(dim):
+        pivot = diag.argmax(axis=1)
+        d = diag[at, pivot]
+        live = d > tol
+        if not live.any():
+            return c[:, :r]
+        col = m[at, pivot] - np.einsum("kj,kjn->kn", c[at, :r, pivot], c[:, :r])
+        c[:, r] = col / np.sqrt(np.where(live, d, np.inf))[:, None]
+        diag -= c[:, r] ** 2
+    return c
+
+
 def marginal_pdf(state, theta, q) -> np.ndarray:
     """Homodyne probability density P_theta(q) = <q_theta| rho |q_theta>.
 
     theta may be one phase, giving shape (n_q,), or a 1-D array of phases,
-    giving one row per phase; the wavefunctions on q are evaluated once.
-    psi is real and rho Hermitian, so only Re(rho_theta) contributes: the
-    phases' Re(rho_theta) are stacked into one matrix, and each block of
-    PDF_BLOCK elements' worth of q takes one product with it.
+    giving one row per phase (an empty one gives shape (0, n_q)); the
+    wavefunctions on q are evaluated once. psi is real and rho Hermitian, so
+    P_theta(q) = psi(q)^T M_theta psi(q) with M_theta = Re(rho_theta) real,
+    symmetric and PSD. _psd_factor writes every M_theta as C_theta C_theta^T
+    with r columns, r the largest numerical rank of the M_theta (at most twice
+    the rank of rho), and P_theta(q) = |C_theta^T psi(q)|^2. So the cost
+    follows the rank of Re(rho_theta): each block of PDF_BLOCK elements' worth
+    of q takes one (n_phases * r, dim) product.
     """
     rho = _as_density(state)
     dim = rho.shape[0]
     psi = quad_wavefunctions(dim, q)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    phase = np.exp(1j * thetas[:, None] * np.arange(dim))
-    stacked = (phase[:, :, None] * rho * phase.conj()[:, None, :]).real.reshape(-1, dim)
     pdf = np.empty((thetas.size, psi.shape[1]))
-    width = max(1, PDF_BLOCK // len(stacked))
+    if thetas.size == 0:
+        return pdf
+    phase = np.exp(1j * thetas[:, None] * np.arange(dim))
+    factor = _psd_factor((phase[:, :, None] * rho * phase.conj()[:, None, :]).real)
+    rank = factor.shape[1]
+    rows = factor.reshape(-1, dim)
+    width = max(1, PDF_BLOCK // len(rows))
     for start in range(0, psi.shape[1], width):
-        block = psi[:, start:start + width]
-        prod = (stacked @ block).reshape(thetas.size, dim, -1)
-        pdf[:, start:start + width] = np.einsum("knj,nj->kj", prod, block)
+        prod = (rows @ psi[:, start:start + width]).reshape(thetas.size, rank, -1)
+        pdf[:, start:start + width] = np.einsum("kjq,kjq->kq", prod, prod)
     return pdf[0] if np.ndim(theta) == 0 else pdf
 
 

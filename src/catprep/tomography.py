@@ -85,11 +85,15 @@ def _record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
 def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: int = 0):
     """Draw homodyne records (thetas, qs) from the state after a loss channel
     of transmission eta. Deterministic for a fixed seed; the stream
-    interleaves phases the way an acquisition run would."""
+    interleaves phases the way an acquisition run would. Each phase's draws
+    invert a trapezoid CDF of marginal_pdf on a CDF_STEP grid over
+    +-Q_SUPPORT, so the cost follows the rank of Re(rho_theta)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rho = loss_channel(state, eta)
     phases = np.asarray(phase_set, dtype=float)
+    if phases.size == 0:
+        raise ValueError("phase_set must be non-empty")
+    rho = loss_channel(state, eta)
 
     qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + CDF_STEP / 2, CDF_STEP)
     pdf = np.clip(marginal_pdf(rho, phases, qgrid), 0, None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catprep.channels import loss, loss_adjoint, loss_channel
+from catprep.channels import _amplitudes, _sqrt_binomials, loss, loss_adjoint, loss_channel
 from catprep.fock import MixedState, basis_state, fidelity, mean_photon_number, partial_trace
 from catprep.states import ResourceParams, coherent, hybrid_entangled
 from oracles import loss_on_mode_a
@@ -51,10 +51,40 @@ def test_kraus_completeness(eta):
     assert np.allclose(loss_adjoint(np.eye(25), eta), np.eye(25), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [12, 30, 40])
+def test_amplitudes_match_mpmath(dim):
+    # each sqrt(C(n, k)) is an exact integer rounded once; 1 - eta is exact
+    # for eta >= 1/2, so only the powers and products round
+    mp = pytest.importorskip("mpmath")
+    for eta in (0.5, 0.7, 0.85, 0.97):
+        got = _amplitudes(eta, dim)
+        with mp.workdps(40):
+            e = mp.mpf(eta)
+            want = np.array([[float(mp.sqrt(mp.binomial(n, k) * e ** (n - k) * (1 - e) ** k))
+                              if n >= k else 0.0 for n in range(dim)] for k in range(dim)])
+        assert np.array_equal(got == 0, want == 0)
+        nonzero = want != 0
+        assert np.max(np.abs(got[nonzero] / want[nonzero] - 1)) <= 1e-15
+
+
+def test_binomials_past_the_float_range_stay_finite():
+    # C(1030, 515) exceeds the largest float, so row n = 1030 mixes exact
+    # entries with lgamma ones; both must agree with the lgamma form throughout
+    dim = 1031
+    with pytest.raises(OverflowError):
+        float(math.comb(dim - 1, (dim - 1) // 2))
+    got = _sqrt_binomials(dim)
+    assert not got.flags.writeable
+    assert np.all(np.isfinite(got))
+    n = dim - 1
+    log_binom = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                          for k in range(dim)])
+    np.testing.assert_allclose(got[:, n], np.exp(0.5 * log_binom), rtol=1e-11)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 12, 25, 40])
 def test_maps_match_kraus_oracle(dim):
-    # unit largest entry: the binomial amplitudes go through log-factorials,
-    # which round to about 3e-15 of it at dim 40
+    # unit largest entry: sums over up to dim products of rounded amplitudes
     mat = random_matrix(dim, seed=dim)
     mat /= np.abs(mat).max()
     for eta in (0.0, 0.3, 0.55, 0.85, 1.0):

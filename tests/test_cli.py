@@ -359,6 +359,21 @@ def test_readme_tomo_config_converges(tmp_path, seed):
     assert report["fidelity_recon_truth"] >= 0.98
 
 
+@pytest.mark.parametrize("command, doc, extra, outputs", [
+    ("prepare", PREP_DOC, [], ["bloch.json", "state.json", "wigner.csv", "wigner.json"]),
+    ("tomo", TOMO_DOC, ["--seed", 17], ["recon.json", "records.csv", "report.json"]),
+], ids=["prepare", "tomo"])
+def test_rerun_is_byte_identical(tmp_path, command, doc, extra, outputs):
+    cfg = write_config(tmp_path, f"{command}.json", doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run([command, "--config", cfg, "--out", out1, *extra]) == EXIT_OK
+    assert run([command, "--config", cfg, "--out", out2, *extra]) == EXIT_OK
+    for out in (out1, out2):
+        assert sorted(p.name for p in out.iterdir()) == outputs
+    for name in outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_tomo_seed_override_changes_records(tmp_path):
     cfg = write_config(tmp_path, "tomo.json", {**TOMO_DOC, "n_samples": 500})
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import norm
 from catprep.channels import loss_channel
 from catprep.fock import MixedState, basis_state, fidelity, partial_trace
 from catprep.homodyne import (
+    PDF_BLOCK,
     Q_SUPPORT,
     Conditioning,
     condition,
@@ -17,6 +19,7 @@ from catprep.homodyne import (
     quad_wavefunctions,
 )
 from catprep.states import ResourceParams, cat, coherent, cv_pair, hybrid_entangled, squeezed_vacuum
+from catprep.tomography import CDF_STEP, default_phase_set
 from oracles import closed_form_state, loss_on_mode_a, quad_overlaps
 
 
@@ -128,6 +131,46 @@ def test_stacked_marginals_match_the_per_phase_loop(monkeypatch, block):
     np.testing.assert_allclose(marginal_pdf(rho, thetas, qs), want, rtol=0, atol=1e-15)
     np.testing.assert_allclose(marginal_pdf(rho, 0.4, qs), want[1], rtol=0, atol=1e-15)
     assert marginal_pdf(rho, 0.4, 0.3).shape == (1,)
+    assert marginal_pdf(rho, np.array([]), qs).shape == (0, qs.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim_rank=st.integers(2, 14).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(1, dim))),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.one_of(st.floats(-7.0, 7.0),
+                    st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=5).map(np.array)),
+    block=st.sampled_from([1, 7, 100, PDF_BLOCK]),
+)
+@example(dim_rank=(14, 14), seed=0, theta=np.array([0.0, -1.1, 4.0]), block=PDF_BLOCK)
+@example(dim_rank=(2, 1), seed=1, theta=-2.5, block=1)
+def test_marginals_match_the_per_phase_loop_at_every_rank(dim_rank, seed, theta, block):
+    # rho = A A^H of every rank from 1 to dim: the factored form keeps Re(rho_theta)'s
+    # numerical rank, so only rounding may differ, at the tolerance of the stacked test
+    dim, rank = dim_rank
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    qs = np.linspace(-7, 7, 201)
+    want = marginal_pdf_per_phase(rho, np.atleast_1d(theta), qs)
+    with mock.patch("catprep.homodyne.PDF_BLOCK", block):
+        got = marginal_pdf(MixedState(rho), theta, qs)
+    np.testing.assert_allclose(got, want[0] if np.ndim(theta) == 0 else want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("truth, eta", [
+    (cat(0.7, "odd", 30), 0.85),
+    pytest.param(coherent(3.159, 40), 0.5, marks=pytest.mark.xfail(
+        reason="1.2e-15 from the loop: the largest alpha dim 40 admits, near its truncation edge")),
+], ids=["cat_minus", "coherent_plus"])
+def test_sampler_marginals_match_the_per_phase_loop(truth, eta):
+    # the sampler's own call: its phases and CDF grid, on the lossy truth it draws from
+    rho = loss_channel(truth, eta)
+    thetas = np.array(default_phase_set())
+    qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + CDF_STEP / 2, CDF_STEP)
+    want = marginal_pdf_per_phase(rho.mat, thetas, qgrid)
+    np.testing.assert_allclose(marginal_pdf(rho, thetas, qgrid), want, rtol=0, atol=1e-15)
 
 
 def test_conditioning_validation():

@@ -123,6 +123,8 @@ def test_sampler_fills_each_phase_as_masks_do(phase_set, n_samples):
 def test_sampling_rejects_empty_draw():
     with pytest.raises(ValueError):
         sample_homodyne(basis_state(0, 5), [0.0], 0)
+    with pytest.raises(ValueError, match="phase_set"):
+        sample_homodyne(basis_state(0, 5), [], 10)
 
 
 def test_records_csv_round_trip(tmp_path):
