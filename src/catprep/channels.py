@@ -44,8 +44,14 @@ def _amplitudes(eta, dim: int) -> np.ndarray:
         raise ValueError("eta must lie in [0, 1]")
     n = np.arange(dim)
     k = n[:, None]
+    # 1 - eta = one_minus + t exactly (Fast2Sum). t is 0 for eta >= 1/2 (Sterbenz) and at
+    # both endpoints; below 1/2 it corrects each power of one_minus to first order in t
+    one_minus = 1 - eta
+    rel = np.divide((1 - one_minus) - eta, one_minus, out=np.zeros_like(one_minus),
+                    where=one_minus > 0)
     # power(0, 0) = 1 covers the eta = 0 and eta = 1 endpoints
-    return _sqrt_binomials(dim) * np.power(eta, np.maximum(n - k, 0) / 2) * (1 - eta) ** (k / 2)
+    return (_sqrt_binomials(dim) * np.power(eta, np.maximum(n - k, 0) / 2)
+            * (one_minus ** (k / 2) * (1 + k / 2 * rel)))
 
 
 def loss(mat: np.ndarray, eta) -> np.ndarray:

@@ -99,15 +99,16 @@ def _fmt_json(value, indent: int = 0) -> str:
 
 def write_json(obj, path) -> None:
     with replacing(path) as fh:
-        fh.write(_fmt_json(obj))
-        fh.write("\n")
+        fh.write((_fmt_json(obj) + "\n").encode())
 
 
 def write_scan_csv(rows, path) -> None:
     # target kinds come from rsp.TARGET_KINDS, and none holds a comma or a quote,
     # so these are the bytes csv.writer wrote, which quotes only such fields
-    fields = [v for row in rows for v in (row["param"], row["target"], row["fidelity"])]
-    write_csv(path, "param,target,fidelity\r\n", "%.17g,%s,%.17g", len(rows), fields)
+    params, targets, fids = ([row[key] for row in rows] for key in ("param", "target", "fidelity"))
+    write_csv(path, ([[b"param", b"target", b"fidelity"]],),
+              (np.array(params, dtype=float)[:, None], np.array(targets, dtype=bytes)[:, None],
+               np.array(fids, dtype=float)[:, None]))
 
 
 def _rho_pairs(mat: np.ndarray) -> list:

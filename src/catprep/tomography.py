@@ -117,11 +117,7 @@ def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: in
 def write_records(records, path) -> None:
     """CSV with header theta_rad,q, 17 significant digits and CRLF line ends."""
     thetas, qs = _record_arrays(records)
-    # each distinct theta is formatted once, told apart by bit pattern so -0.0 keeps its sign
-    _, first, inv = np.unique(thetas.view(np.int64), return_index=True, return_inverse=True)
-    labels = np.array(["%.17g" % t for t in thetas[first].tolist()], dtype=object)
-    fields = np.column_stack((labels[inv], qs.astype(object))).ravel()
-    write_csv(path, "theta_rad,q\r\n", "%s,%.17g", thetas.size, fields)
+    write_csv(path, ([[b"theta_rad", b"q"]],), (np.column_stack((thetas, qs)),))
 
 
 def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:

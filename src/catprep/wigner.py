@@ -92,11 +92,6 @@ def _wigner(rho: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return values
 
 
-def wigner_point(state, x: float, p: float) -> float:
-    """W(x, p) for a single phase-space point: a one-point grid."""
-    return float(_wigner(_as_density(state), np.array([x], float), np.array([p], float))[0, 0])
-
-
 def wigner_origin(state) -> float:
     """W(0, 0) = Tr[rho (-1)^n] / (2 pi), the parity identity, summed in order of n."""
     diag = np.diagonal(_as_density(state)).real
@@ -117,10 +112,7 @@ def negativity_min(grid: WignerGrid) -> float:
 def write_grid_csv(grid: WignerGrid, path) -> None:
     """CSV matrix: two header rows carrying the axes, then W rows (one per p)."""
     xs, ps, values = (np.asarray(a, dtype=float) for a in (grid.xs, grid.ps, grid.values))
-    n_p, n_x = values.shape
-    head = "xs" + ",%.17g" * xs.size + "\r\nps" + ",%.17g" * ps.size + "\r\n"
-    fields = xs.tolist() + ps.tolist() + values.ravel().tolist()
-    write_csv(path, head, ",".join(["%.17g"] * n_x), n_p, fields)
+    write_csv(path, ([[b"xs"]], xs[None]), ([[b"ps"]], ps[None]), (values,))
 
 
 def grid_metadata(grid: WignerGrid, dim: int, descriptor: str) -> dict:

@@ -1,8 +1,8 @@
 """Test oracles: references that nothing in catprep calls. The full stack of
 POVM elements and a records.csv reader for tomography, quadrature overlaps and
 the closed-form point-projection state for homodyne conditioning, loss on
-mode A of a two-mode state, and the Laguerre series of the Wigner function
-with a wigner.csv reader."""
+mode A of a two-mode state, the Laguerre series of the Wigner function with
+a wigner.csv reader, and the kernel's value at one point."""
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from catprep.channels import loss
 from catprep.fock import PureState, TwoModeState
 from catprep.homodyne import quad_wavefunctions
 from catprep.tomography import TomoConfig, _povm_factors
-from catprep.wigner import WignerGrid
+from catprep.wigner import WignerGrid, wigner_grid
 
 
 def build_povm(cfg: TomoConfig) -> np.ndarray:
@@ -99,3 +99,8 @@ def wigner_series_grid(rho: np.ndarray, xs, ps) -> np.ndarray:
     """wigner_series on the outer product of the axes, values[i, j] = W(xs[j], ps[i])."""
     xg, pg = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ps, dtype=float))
     return wigner_series(rho, xg.ravel(), pg.ravel()).reshape(pg.shape)
+
+
+def wigner_point(state, x: float, p: float) -> float:
+    """W(x, p) for a single phase-space point: a one-point grid."""
+    return float(wigner_grid(state, [x], [p]).values[0, 0])

@@ -32,8 +32,7 @@ from catprep.tomography import (
     mle_reconstruct,
     sample_homodyne,
 )
-from catprep.wigner import wigner_point
-from oracles import closed_form_state
+from oracles import closed_form_state, wigner_point
 
 # representative sampling seed; the reconstruction fidelity estimator has a
 # seed-to-seed spread of about +-0.004 at 50k samples, so the seed is pinned

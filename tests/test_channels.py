@@ -54,9 +54,10 @@ def test_kraus_completeness(eta):
 @pytest.mark.parametrize("dim", [12, 30, 40])
 def test_amplitudes_match_mpmath(dim):
     # each sqrt(C(n, k)) is an exact integer rounded once; 1 - eta is exact
-    # for eta >= 1/2, so only the powers and products round
+    # for eta >= 1/2 and carries its rounding error below, so only the powers
+    # and products round
     mp = pytest.importorskip("mpmath")
-    for eta in (0.5, 0.7, 0.85, 0.97):
+    for eta in (0.1, 0.3, 0.45, 0.5, 0.7, 0.85, 0.97):
         got = _amplitudes(eta, dim)
         with mp.workdps(40):
             e = mp.mpf(eta)

@@ -20,10 +20,9 @@ from catprep.wigner import (
     negativity_min,
     wigner_grid,
     wigner_origin,
-    wigner_point,
     write_grid_csv,
 )
-from oracles import read_grid_csv, wigner_series_grid
+from oracles import read_grid_csv, wigner_point, wigner_series_grid
 
 INV_2PI = 1 / (2 * np.pi)
 KERNEL_TOL = 1e-14  # the kernel's stated agreement with the Laguerre series
