@@ -39,7 +39,6 @@ from .rsp import (
 from .states import ResourceParams, hybrid_entangled, within_truncation
 from .tomography import (
     TomoConfig,
-    default_phase_set,
     fidelity_to_truth,
     mle_reconstruct,
     sample_homodyne,
@@ -393,21 +392,20 @@ def cmd_tomo(cfg: dict):
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     tnode = _section(cfg, "tomo")
-    n_phases = _int(tnode, "n_phases", 12)
-    if n_phases < 1:
-        raise ConfigError("n_phases must be a positive integer")
     tomo_cfg = TomoConfig(
         dim_recon=_int(tnode, "dim_recon", TomoConfig.dim_recon),
         eta_correction=_float(tnode, "eta_correction", eta),
         bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
-        phase_set=default_phase_set(n_phases),
+        n_phases=_int(tnode, "n_phases", TomoConfig.n_phases),
     )
     if tomo_cfg.dim_recon > dim:
         raise ConfigError(f"tomo: dim_recon must not exceed dim = {dim}")
+    if tomo_cfg.n_phases < tomo_cfg.dim_recon:  # too few equally spaced phases to fix rho
+        raise ConfigError(f"tomo: n_phases must be at least dim_recon = {tomo_cfg.dim_recon}")
 
     def run(out_dir: Path) -> None:
         truth = target_state(truth_spec, dim)
-        records = sample_homodyne(truth, tomo_cfg.phase_set, n_samples, eta=eta, seed=seed)
+        records = sample_homodyne(truth, tomo_cfg.n_phases, n_samples, eta=eta, seed=seed)
         write_records(records, out_dir / "records.csv")
 
         result = mle_reconstruct(records, tomo_cfg)

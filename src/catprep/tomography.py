@@ -17,7 +17,7 @@ one more.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +39,6 @@ SWITCH_EVERY = 5  # APG iterations between checks of the switch gap
 RANK_TOL = 1e-12  # eigenvalues of the APG iterate above this span the face Newton polishes
 
 
-def default_phase_set(n_phases: int = 12) -> tuple[float, ...]:
-    """Equally spaced homodyne phases covering [0, pi)."""
-    return tuple(k * np.pi / n_phases for k in range(n_phases))
-
-
 @dataclass
 class TomoConfig:
     """Reconstruction settings.
@@ -51,13 +46,14 @@ class TomoConfig:
     eta_correction is the detection efficiency compensated for in the POVM;
     bin_width defines per-phase quadrature bins across the sampling support
     +-Q_SUPPORT, closed by one overflow element per phase so the POVM is
-    complete exactly.
+    complete exactly. The phases are pi k / n_phases, k < n_phases; dim_recon of
+    them determine rho (Leonhardt et al., Opt. Commun. 127, 144 (1996)).
     """
 
     dim_recon: int = 12
     eta_correction: float = 1.0
     bin_width: float = 0.1
-    phase_set: tuple = field(default_factory=default_phase_set)
+    n_phases: int = 12
 
     def __post_init__(self):  # written so that NaN fails every check
         if not self.dim_recon >= 2:
@@ -66,12 +62,17 @@ class TomoConfig:
             raise ValueError("bin_width must be positive, with 2 * Q_SUPPORT / bin_width below 2**63")
         if not 0 < self.eta_correction <= 1:
             raise ValueError("eta_correction must lie in (0, 1]")
-        if len(self.phase_set) == 0:
-            raise ValueError("phase_set must be non-empty")
+        if not (isinstance(self.n_phases, (int, np.integer)) and self.n_phases >= 1):
+            raise ValueError("n_phases must be a positive integer")
 
     @property
     def n_bins(self) -> int:
         return int(np.ceil(2 * Q_SUPPORT / self.bin_width - 1e-9))
+
+
+def _phases(n_phases: int) -> np.ndarray:
+    """The equally spaced homodyne phases pi k / n_phases, k = 0 .. n_phases - 1."""
+    return np.arange(n_phases) * np.pi / n_phases
 
 
 def _record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
@@ -82,17 +83,17 @@ def _record_arrays(records) -> tuple[np.ndarray, np.ndarray]:
     return thetas, qs
 
 
-def sample_homodyne(state, phase_set, n_samples: int, eta: float = 1.0, seed: int = 0):
-    """Draw homodyne records (thetas, qs) from the state after a loss channel
-    of transmission eta. Deterministic for a fixed seed; the stream
-    interleaves phases the way an acquisition run would. Each phase's draws
-    invert a trapezoid CDF of marginal_pdf on a CDF_STEP grid over
-    +-Q_SUPPORT, so the cost follows the rank of Re(rho_theta)."""
+def sample_homodyne(state, n_phases: int, n_samples: int, eta: float = 1.0, seed: int = 0):
+    """Draw homodyne records (thetas, qs) at the phases pi k / n_phases from the
+    state after a loss channel of transmission eta. Deterministic for a fixed
+    seed; the stream interleaves phases the way an acquisition run would. Each
+    phase's draws invert a trapezoid CDF of marginal_pdf on a CDF_STEP grid
+    over +-Q_SUPPORT, so the cost follows the rank of Re(rho_theta)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    phases = np.asarray(phase_set, dtype=float)
-    if phases.size == 0:
-        raise ValueError("phase_set must be non-empty")
+    if not (isinstance(n_phases, (int, np.integer)) and n_phases >= 1):
+        raise ValueError("n_phases must be a positive integer")
+    phases = _phases(n_phases)
     rho = loss_channel(state, eta)
 
     qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + CDF_STEP / 2, CDF_STEP)
@@ -132,14 +133,13 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
     unital, so the overflow element is the adjoint image of the lossless one
     and every phase's set sums to I / n_phases.
     """
-    dim = cfg.dim_recon
-    n_phases = len(cfg.phase_set)
+    dim, n_phases = cfg.dim_recon, cfg.n_phases
     edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     bins = acceptance_operator(dim, nodes, weights / n_phases, 0.0, cfg.eta_correction).real
     bins = np.concatenate((bins, np.eye(dim)[None] / n_phases - bins.sum(axis=0)))
     n = np.arange(dim)
-    thetas = np.asarray(cfg.phase_set, dtype=float)[:, None, None]
+    thetas = _phases(n_phases)[:, None, None]
     phases = np.exp(-1j * thetas * (n[:, None] - n))
     return bins.reshape(-1, dim * dim), phases.reshape(-1, dim * dim)
 
@@ -147,22 +147,22 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:
     """Counts per POVM element, phase-major, n_bins + 1 per phase. Bin b holds
     floor((q + Q_SUPPORT) / bin_width) = b for 0 <= b < n_bins; everything else
-    goes to the phase's overflow element, the last. Unknown phases and
-    non-finite q are an error."""
+    goes to the phase's overflow element, the last. Phase k holds theta within
+    1e-12 of pi k / n_phases; other phases and non-finite q are an error."""
     thetas, qs = _record_arrays(records)
-    keys = np.round(np.asarray(cfg.phase_set, dtype=float), 12)
-    order = np.argsort(keys, kind="stable")  # a repeated phase maps to its last index
-    sorted_keys, wanted = keys[order], np.round(thetas, 12)
-    pos = np.searchsorted(sorted_keys, wanted, side="right") - 1
-    known = sorted_keys[pos] == wanted  # pos = -1 reads the largest key, never equal then
+    n = cfg.n_phases
+    k = np.rint(thetas * n / np.pi)
+    known = (k >= 0) & (k < n)  # false for NaN, so the cast below sees only indices
+    k = np.where(known, k, 0).astype(np.intp)
+    known &= np.abs(thetas - _phases(n)[k]) <= 1e-12
     if not known.all():
-        raise ValueError(f"record phase {thetas[~known][0]} not in the configured phase set")
+        raise ValueError(f"record phase {thetas[~known][0]} is not pi k / {n} for an integer k")
     if not np.isfinite(qs).all():
         raise ValueError("record quadratures must be finite")
     b = np.floor((qs + Q_SUPPORT) / cfg.bin_width)
     b = np.where((b >= 0) & (b < cfg.n_bins), b, cfg.n_bins).astype(np.intp)
     stride = cfg.n_bins + 1
-    return np.bincount(order[pos] * stride + b, minlength=len(keys) * stride).astype(float)
+    return np.bincount(k * stride + b, minlength=n * stride).astype(float)
 
 
 @dataclass
@@ -328,7 +328,7 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     counts = bin_records(records, cfg)
     if np.count_nonzero(counts) < 2:  # none, or all in one bin
         raise ValueError("records must fall into at least two bins to reconstruct")
-    freqs = (counts / counts.sum()).reshape(len(cfg.phase_set), -1)
+    freqs = (counts / counts.sum()).reshape(cfg.n_phases, -1)
     populated = freqs.any(axis=0)
     freqs = freqs[:, populated].ravel()
     active = np.flatnonzero(freqs)

@@ -27,7 +27,6 @@ from catprep.rsp import (
 from catprep.states import ResourceParams, cv_pair, hybrid_entangled
 from catprep.tomography import (
     TomoConfig,
-    default_phase_set,
     fidelity_to_truth,
     mle_reconstruct,
     sample_homodyne,
@@ -170,9 +169,9 @@ def test_tomography_round_trips(capsys):
     for spec in DEFAULT_TARGETS:
         truth = target_state(spec, 30)
         t0 = time.time()
-        rec = sample_homodyne(truth, default_phase_set(), 50_000, eta=1.0, seed=FROZEN_SEED)
+        rec = sample_homodyne(truth, 12, 50_000, eta=1.0, seed=FROZEN_SEED)
         f_clean = fidelity_to_truth(mle_reconstruct(rec, TomoConfig()).state, truth)
-        rec = sample_homodyne(truth, default_phase_set(), 50_000, eta=0.85, seed=FROZEN_SEED)
+        rec = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
         f_corr = fidelity_to_truth(
             mle_reconstruct(rec, TomoConfig(eta_correction=0.85)).state, truth
         )
@@ -192,7 +191,7 @@ def test_tomography_round_trips(capsys):
 
 def test_wigner_negativity(capsys):
     truth = target_state(TargetSpec("cat_minus"), 30)
-    rec = sample_homodyne(truth, default_phase_set(), 50_000, eta=0.85, seed=FROZEN_SEED)
+    rec = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
     recon = mle_reconstruct(rec, TomoConfig(eta_correction=0.85)).state
     w_recon = wigner_point(recon, 0.0, 0.0)
     w_photon = wigner_point(basis_state(1, 10), 0.0, 0.0)

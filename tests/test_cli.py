@@ -250,7 +250,7 @@ TOMO_DOC = {
     "truth": {"kind": "cat_minus"},
     "n_samples": 4000,
     "seed": 5,
-    "tomo": {"dim_recon": 8, "n_phases": 6},
+    "tomo": {"dim_recon": 8, "n_phases": 8},
 }
 
 
@@ -448,6 +448,7 @@ def test_tomo_config_errors(tmp_path):
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-320}}),
         ("scan", {**SCAN_DOC, "dim": DIM_400_DIGITS}),
         ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 2**63 - 1}}),
+        ("tomo", {**TOMO_DOC, "tomo": {"dim_recon": 10, "n_phases": 1}}),
     ],
     ids=["row_delta_text", "row_0", "row_minus_1", "row_true", "delta_scan_number",
          "eta_scan_entry_number", "targets_number", "n_samples_true", "seed_text",
@@ -463,7 +464,7 @@ def test_tomo_config_errors(tmp_path):
          "tomo_ideal_resource_alpha_above_truncation_bound", "q_grid_text", "q_grid_ragged",
          "q_grid_nested", "eta_grid_nested", "q_grid_num_unallocatable", "theta_past_float_range",
          "wigner_step_infinite_count", "bin_width_infinite_count", "dim_past_64_bits",
-         "q_grid_num_unsizable"],
+         "q_grid_num_unsizable", "n_phases_below_dim_recon"],
 )
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "cfg.json", doc)
@@ -482,6 +483,7 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
         ("prepare", {**PREP_DOC, "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.3}},
          "step_snu"),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "n_phases": 0}}, "n_phases"),
+        ("tomo", {**TOMO_DOC, "tomo": {"dim_recon": 10, "n_phases": 1}}, "n_phases"),
         ("tomo", {**TOMO_DOC, "truth": {"kind": "custom", "c_plus": 1}}, "c_plus"),
         ("tomo", {**TOMO_DOC, "tomo": {**TOMO_DOC["tomo"], "bin_width_snu": 1e-320}}, "bin_width"),
         ("scan", {**SCAN_DOC, "dim": DIM_400_DIGITS}, "dim"),
@@ -496,6 +498,7 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
          "wigner step_snu 1e-17: Unable to allocate"),
     ],
     ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
+         "n_phases_below_dim_recon",
          "custom_coefficient_not_a_pair", "bin_width_infinite_count", "dim_past_64_bits",
          "q_grid_num_unsizable", "eta_grid_num_past_array_bytes", "wigner_step_unsizable",
          "wigner_step_unallocatable"],
@@ -628,8 +631,8 @@ def test_falling_likelihood_is_a_numerical_failure(tmp_path, monkeypatch):
     # an explicit raise, not an assert that python -O would strip
     falling = itertools.count()
     monkeypatch.setattr(tomography, "_frequencies_ll", lambda freqs, probs: -float(next(falling)))
-    cfg = tomography.TomoConfig(dim_recon=8, phase_set=tomography.default_phase_set(6))
-    records = tomography.sample_homodyne(cat(0.7, "odd", 20), cfg.phase_set, 2000, seed=5)
+    cfg = tomography.TomoConfig(dim_recon=8, n_phases=6)
+    records = tomography.sample_homodyne(cat(0.7, "odd", 20), cfg.n_phases, 2000, seed=5)
     with pytest.raises(ValueError, match="likelihood decreased"):  # not an AssertionError
         tomography.mle_reconstruct(records, cfg)
     cfg_path = write_config(tmp_path, "tomo.json", TOMO_DOC)

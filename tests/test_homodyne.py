@@ -19,7 +19,7 @@ from catprep.homodyne import (
     quad_wavefunctions,
 )
 from catprep.states import ResourceParams, cat, coherent, cv_pair, hybrid_entangled, squeezed_vacuum
-from catprep.tomography import CDF_STEP, default_phase_set
+from catprep.tomography import CDF_STEP, _phases
 from oracles import closed_form_state, loss_on_mode_a, quad_overlaps
 
 
@@ -167,7 +167,7 @@ def test_marginals_match_the_per_phase_loop_at_every_rank(dim_rank, seed, theta,
 def test_sampler_marginals_match_the_per_phase_loop(truth, eta):
     # the sampler's own call: its phases and CDF grid, on the lossy truth it draws from
     rho = loss_channel(truth, eta)
-    thetas = np.array(default_phase_set())
+    thetas = _phases(12)
     qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + CDF_STEP / 2, CDF_STEP)
     want = marginal_pdf_per_phase(rho.mat, thetas, qgrid)
     np.testing.assert_allclose(marginal_pdf(rho, thetas, qgrid), want, rtol=0, atol=1e-15)

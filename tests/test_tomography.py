@@ -8,7 +8,7 @@ from catprep.fock import MixedState, basis_state, fidelity
 from catprep.channels import loss_channel
 from catprep.homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 from catprep.rsp import TargetSpec, target_state
-from catprep.states import cat, coherent
+from catprep.states import cat
 from catprep.tomography import (
     GAIN_TOL,
     GAP_TOL,
@@ -23,7 +23,6 @@ from catprep.tomography import (
     _project_density,
     _r_operator,
     bin_records,
-    default_phase_set,
     fidelity_to_truth,
     log_likelihood,
     mle_reconstruct,
@@ -43,14 +42,6 @@ def random_density(dim, seed):
     return rho / np.trace(rho).real
 
 
-def test_default_phase_set():
-    phases = default_phase_set()
-    assert len(phases) == 12
-    assert phases[0] == 0.0
-    assert np.allclose(np.diff(phases), np.pi / 12)
-    assert phases[-1] < np.pi
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TomoConfig(dim_recon=1)
@@ -60,8 +51,9 @@ def test_config_validation():
         TomoConfig(eta_correction=0.0)
     with pytest.raises(ValueError):
         TomoConfig(eta_correction=1.2)
-    with pytest.raises(ValueError):
-        TomoConfig(phase_set=())
+    for bad in (0, -3, np.nan, 2.5, 12.0):
+        with pytest.raises(ValueError, match="n_phases"):
+            TomoConfig(n_phases=bad)
     # bin counts past 64 bits, the first infinite
     for bad in ({"bin_width": np.nan}, {"bin_width": -0.1}, {"bin_width": 1e-320},
                 {"bin_width": 1e-300},
@@ -72,30 +64,30 @@ def test_config_validation():
 
 
 def test_sampling_vacuum_statistics():
-    _, qs = sample_homodyne(basis_state(0, 10), [0.0], 100_000, seed=11)
+    _, qs = sample_homodyne(basis_state(0, 10), 1, 100_000, seed=11)
     assert np.isclose(qs.mean(), 0.0, atol=0.02)
     assert np.isclose(qs.var(), 1.0, atol=0.02)
 
 
 def test_sampling_single_photon_dip():
     # P(|q| < 0.1) = 2.653e-4 for the single-photon marginal
-    _, qs = sample_homodyne(basis_state(1, 10), [0.3], 100_000, seed=12)
+    _, qs = sample_homodyne(basis_state(1, 10), 1, 100_000, seed=12)
     assert (np.abs(qs) < 0.1).mean() < 0.002
 
 
 def test_sampling_is_deterministic():
     s = cat(0.7, "odd", 20)
-    a = sample_homodyne(s, default_phase_set(), 500, seed=7)
-    b = sample_homodyne(s, default_phase_set(), 500, seed=7)
-    c = sample_homodyne(s, default_phase_set(), 500, seed=8)
+    a = sample_homodyne(s, 12, 500, seed=7)
+    b = sample_homodyne(s, 12, 500, seed=7)
+    c = sample_homodyne(s, 12, 500, seed=8)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert np.any(a[1] != c[1])
 
 
-def sample_homodyne_by_masks(state, phase_set, n_samples, eta, seed):
+def sample_homodyne_by_masks(state, n_phases, n_samples, eta, seed):
     """The sampler with one boolean mask per phase picking that phase's draws."""
     rho = loss_channel(state, eta)
-    phases = np.asarray(phase_set, dtype=float)
+    phases = np.array([k * np.pi / n_phases for k in range(n_phases)])
     qgrid = np.arange(-Q_SUPPORT, Q_SUPPORT + tomography.CDF_STEP / 2, tomography.CDF_STEP)
     pdf = np.clip(marginal_pdf(rho, phases, qgrid), 0, None)
     cdf = np.zeros_like(pdf)
@@ -110,25 +102,26 @@ def sample_homodyne_by_masks(state, phase_set, n_samples, eta, seed):
     return phases[idx], qs
 
 
-@pytest.mark.parametrize("phase_set, n_samples", [(default_phase_set(), 3000), ((0.3,), 50),
-                                                  (default_phase_set(5), 1)])
-def test_sampler_fills_each_phase_as_masks_do(phase_set, n_samples):
-    # each phase's draws come from one slice of a stable argsort, in stream order
+@pytest.mark.parametrize("n_phases, n_samples", [(12, 3000), (1, 50), (5, 1)])
+def test_sampler_fills_each_phase_as_masks_do(n_phases, n_samples):
+    # each phase's draws come from one slice of a stable argsort, in stream order,
+    # and each theta is exactly pi k / n_phases, the equally spaced phase k
     state = cat(0.7, "odd", 20)
-    got = sample_homodyne(state, phase_set, n_samples, eta=0.85, seed=9)
-    want = sample_homodyne_by_masks(state, phase_set, n_samples, 0.85, 9)
+    got = sample_homodyne(state, n_phases, n_samples, eta=0.85, seed=9)
+    want = sample_homodyne_by_masks(state, n_phases, n_samples, 0.85, 9)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_sampling_rejects_empty_draw():
     with pytest.raises(ValueError):
-        sample_homodyne(basis_state(0, 5), [0.0], 0)
-    with pytest.raises(ValueError, match="phase_set"):
-        sample_homodyne(basis_state(0, 5), [], 10)
+        sample_homodyne(basis_state(0, 5), 1, 0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="n_phases"):
+            sample_homodyne(basis_state(0, 5), bad, 10)
 
 
 def test_records_csv_round_trip(tmp_path):
-    records = sample_homodyne(cat(0.7, "even", 20), default_phase_set(), 200, seed=3)
+    records = sample_homodyne(cat(0.7, "even", 20), 12, 200, seed=3)
     path = tmp_path / "records.csv"
     write_records(records, path)
     back = read_records(path)
@@ -138,7 +131,7 @@ def test_records_csv_round_trip(tmp_path):
 
 def test_bin_records_counts_and_overflow():
     w = Q_SUPPORT / 2  # four bins across the support
-    cfg = TomoConfig(phase_set=(0.0, np.pi / 2), bin_width=w)
+    cfg = TomoConfig(n_phases=2, bin_width=w)
     assert cfg.n_bins == 4
     records = (
         np.array([0.0, 0.0, 0.0, np.pi / 2]),
@@ -164,25 +157,30 @@ def test_bin_records_counts_and_overflow():
 
 
 def test_bin_records_rejects_unknown_phase():
+    # a record's phase is pi k / n_phases with 0 <= k < n_phases, to within 1e-12
     cfg = TomoConfig()
-    with pytest.raises(ValueError):
-        bin_records((np.array([0.123]), np.array([0.0])), cfg)
+    for theta in (0.123, np.pi, np.nan):  # off the grid, k = n_phases, and NaN
+        with pytest.raises(ValueError):
+            bin_records((np.array([theta]), np.array([0.0])), cfg)
+    for theta, k in ((5 * np.pi / 12 + 5e-13, 5), (-0.0, 0)):
+        counts = bin_records((np.array([theta]), np.array([0.0])), cfg)
+        assert counts.reshape(12, -1).sum(axis=1).tolist() == [float(j == k) for j in range(12)]
 
 
 @pytest.mark.parametrize("bin_width", [0.1, 0.3, 0.7, 2.0])
 def test_sampled_records_never_overflow(bin_width):
     # the sampler draws from +-Q_SUPPORT and the bins span it, even at a width
-    # that does not divide it; marginals centred at +-9 reach both edges
-    phases = (0.0, np.pi)
-    records = sample_homodyne(coherent(4.5, 100), phases, 20_000, seed=FROZEN_SEED)
+    # that does not divide it; the cat's marginal at theta = 0 peaks at +-9 and
+    # reaches both edges
+    records = sample_homodyne(cat(4.5, "even", 100), 1, 20_000, seed=FROZEN_SEED)
     assert records[1].min() < 0.5 - Q_SUPPORT and records[1].max() > Q_SUPPORT - 0.5
-    counts = bin_records(records, TomoConfig(bin_width=bin_width, phase_set=phases))
-    assert counts.reshape(len(phases), -1)[:, -1].tolist() == [0, 0]
+    counts = bin_records(records, TomoConfig(bin_width=bin_width, n_phases=1))
+    assert counts[-1] == 0
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.85])
 def test_povm_completeness(eta):
-    cfg = TomoConfig(dim_recon=8, eta_correction=eta, phase_set=default_phase_set(4))
+    cfg = TomoConfig(dim_recon=8, eta_correction=eta, n_phases=4)
     povm = build_povm(cfg)
     assert povm.shape == (4 * (cfg.n_bins + 1), 8, 8)
     assert np.allclose(povm.sum(axis=0), np.eye(8), atol=1e-12)
@@ -190,25 +188,26 @@ def test_povm_completeness(eta):
 
 def test_povm_probabilities_match_marginal_integral():
     # without correction, bin probabilities equal integrals of the marginal
-    cfg = TomoConfig(dim_recon=10, bin_width=0.5, phase_set=(0.0, 0.7))
+    cfg = TomoConfig(dim_recon=10, bin_width=0.5, n_phases=3)
     povm = build_povm(cfg)
     state = cat(0.7, "odd", 10)
     rho = state.density().mat
     probs = np.einsum("jab,ba->j", povm, rho).real
     stride = cfg.n_bins + 1
     edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
-    for k, theta in enumerate(cfg.phase_set):
+    for k in range(cfg.n_phases):
+        theta = k * np.pi / cfg.n_phases
         for b in range(0, cfg.n_bins, 17):
             qs = np.linspace(edges[b], edges[b + 1], 201)
-            want = np.trapezoid(marginal_pdf(state, theta, qs), qs) / len(cfg.phase_set)
+            want = np.trapezoid(marginal_pdf(state, theta, qs), qs) / cfg.n_phases
             assert np.isclose(probs[k * stride + b], want, atol=1e-7)
 
 
 @pytest.mark.parametrize("dim", [8, 12])
 def test_povm_duality_with_loss_channel(dim):
     # Tr[Pi_corrected rho] = Tr[Pi loss(rho)] for every element
-    cfg0 = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1))
-    cfg = TomoConfig(dim_recon=dim, bin_width=1.0, phase_set=(0.0, 1.1), eta_correction=0.85)
+    cfg0 = TomoConfig(dim_recon=dim, bin_width=1.0, n_phases=3)
+    cfg = TomoConfig(dim_recon=dim, bin_width=1.0, n_phases=3, eta_correction=0.85)
     rho = random_density(dim, seed=5)
     lossy = loss_channel(MixedState(rho), 0.85).mat
     p_corr = np.einsum("jab,ba->j", build_povm(cfg), rho).real
@@ -216,9 +215,33 @@ def test_povm_duality_with_loss_channel(dim):
     assert np.allclose(p_corr, p_plain, atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 8), data=st.data())
+def test_equally_spaced_phases_determine_rho_from_dim_phases_on(dim, data):
+    # the rank of the real linear map from the dim^2 coordinates of a Hermitian rho
+    # to the bin probabilities: dim^2 - (dim - k)^2 for k < dim phases, full from
+    # k = dim on, the bound the tomo command refuses below (Leonhardt et al. 1996)
+    n_phases = data.draw(st.integers(1, dim + 1))
+    factors = _povm_factors(TomoConfig(dim_recon=dim, n_phases=n_phases, bin_width=0.1))
+    basis = []
+    for m in range(dim):
+        for n in range(m, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[m, n] = e[n, m] = 1
+            basis.append(e)
+            if m < n:
+                f = np.zeros((dim, dim), dtype=complex)
+                f[m, n], f[n, m] = -1j, 1j
+                basis.append(f)
+    linear_map = np.array([_probabilities(h, *factors) for h in basis]).T
+    # kept singular values are at least 1.9e-2 here, dropped ones at most 1.1e-15
+    rank = np.linalg.matrix_rank(linear_map, tol=1e-8)
+    assert rank == dim**2 - max(dim - n_phases, 0) ** 2
+
+
 def test_round_trip_cat_reconstruction():
     truth = cat(0.7, "odd", 30)
-    records = sample_homodyne(truth, default_phase_set(), 50_000, eta=1.0, seed=FROZEN_SEED)
+    records = sample_homodyne(truth, 12, 50_000, eta=1.0, seed=FROZEN_SEED)
     cfg = TomoConfig()
     result = mle_reconstruct(records, cfg)
     assert result.converged
@@ -228,7 +251,7 @@ def test_round_trip_cat_reconstruction():
 
 def test_loss_correction_improves_fidelity():
     truth = cat(0.7, "odd", 30)
-    records = sample_homodyne(truth, default_phase_set(), 50_000, eta=0.85, seed=FROZEN_SEED)
+    records = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
     plain = mle_reconstruct(records, TomoConfig())
     corrected = mle_reconstruct(records, TomoConfig(eta_correction=0.85))
     f_plain = fidelity_to_truth(plain.state, truth)
@@ -239,7 +262,7 @@ def test_loss_correction_improves_fidelity():
 
 def test_truth_beats_random_challengers():
     truth = cat(0.7, "even", 12)
-    records = sample_homodyne(truth, default_phase_set(), 20_000, seed=FROZEN_SEED)
+    records = sample_homodyne(truth, 12, 20_000, seed=FROZEN_SEED)
     cfg = TomoConfig()
     ll_truth = log_likelihood(truth, records, cfg)
     for seed in range(10):
@@ -249,7 +272,7 @@ def test_truth_beats_random_challengers():
 
 def test_log_likelihood_minus_inf_sentinel():
     # a populated bin with zero probability under the state
-    cfg = TomoConfig(dim_recon=2, phase_set=(0.0,), bin_width=2 * Q_SUPPORT)
+    cfg = TomoConfig(dim_recon=2, n_phases=1, bin_width=2 * Q_SUPPORT)
     records = (np.array([0.0]), np.array([5 * Q_SUPPORT]))  # lands in overflow only
     ll = log_likelihood(basis_state(0, 2), records, cfg)
     assert ll == -np.inf
@@ -265,7 +288,7 @@ def test_log_likelihood_dimension_check():
 def test_bin_width_insensitivity():
     # coarser bins cost a little information but not the reconstruction
     truth = cat(0.7, "odd", 30)
-    records = sample_homodyne(truth, default_phase_set(), 30_000, seed=FROZEN_SEED)
+    records = sample_homodyne(truth, 12, 30_000, seed=FROZEN_SEED)
     f1 = fidelity_to_truth(
         mle_reconstruct(records, TomoConfig(bin_width=0.05)).state, truth
     )
@@ -278,7 +301,7 @@ def test_bin_width_insensitivity():
 
 def test_non_converged_flag(monkeypatch):
     monkeypatch.setattr(tomography, "MAX_ITERS", 3)
-    records = sample_homodyne(cat(0.7, "odd", 20), default_phase_set(), 2_000, seed=1)
+    records = sample_homodyne(cat(0.7, "odd", 20), 12, 2_000, seed=1)
     result = mle_reconstruct(records, TomoConfig())
     assert not result.converged
     assert result.iterations == 3
@@ -293,7 +316,7 @@ def test_reconstruct_rejects_degenerate_input():
 
 
 def test_reconstruction_output_is_physical():
-    records = sample_homodyne(cat(0.7, "even", 20), default_phase_set(), 5_000, seed=2)
+    records = sample_homodyne(cat(0.7, "even", 20), 12, 5_000, seed=2)
     result = mle_reconstruct(records, TomoConfig(dim_recon=8))
     rho = result.state.mat
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
@@ -317,11 +340,12 @@ def test_fidelity_to_truth_dimension_check():
 def reference_povm(cfg):
     """The POVM built phase by phase, one lossy acceptance operator per
     phase, with no use of phase covariance."""
-    dim, n_phases = cfg.dim_recon, len(cfg.phase_set)
+    dim, n_phases = cfg.dim_recon, cfg.n_phases
     edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     elements = []
-    for theta in cfg.phase_set:
+    for k in range(n_phases):
+        theta = k * np.pi / n_phases
         bins = acceptance_operator(dim, nodes, weights / n_phases, theta, cfg.eta_correction)
         elements += [*bins, np.eye(dim) / n_phases - bins.sum(axis=0)]
     return np.array(elements)
@@ -357,13 +381,11 @@ def reference_mle(records, cfg):
     dim=st.integers(2, 12),
     eta=st.floats(0.3, 1.0),
     bin_width=st.floats(0.05, 3.0),
-    phases=st.lists(st.floats(-np.pi, 2 * np.pi), min_size=1, max_size=7),
+    n_phases=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, phases, seed):
-    # phase sets need not be equally spaced, nor lie in [0, pi)
-    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width,
-                     phase_set=tuple(phases))
+def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, n_phases, seed):
+    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width, n_phases=n_phases)
     rho = random_density(dim, seed)
     povm, factors = reference_povm(cfg), _povm_factors(cfg)
     want = np.einsum("jab,ba->j", povm, rho).real
@@ -395,7 +417,7 @@ def test_mle_matches_full_povm_iteration(kind, eta):
     # RrhoR on the full POVM stack is the oracle: APG must reach at least its
     # likelihood at the same tol, and certify how far it is from the optimum
     truth = target_state(TargetSpec(kind=kind, alpha=0.7), 30)
-    records = sample_homodyne(truth, default_phase_set(), 50_000, eta=eta, seed=FROZEN_SEED)
+    records = sample_homodyne(truth, 12, 50_000, eta=eta, seed=FROZEN_SEED)
     cfg = TomoConfig(eta_correction=eta)
     rho, _, ref_converged = reference_mle(records, cfg)
     result = mle_reconstruct(records, cfg)
@@ -437,7 +459,7 @@ def test_reconstruction_does_not_depend_on_bin_column_order(monkeypatch, seed):
     # The Newton steps converge quadratically, so their end lies far closer to the optimum
     truth = cat(0.7, "odd", 30)
     cfg = TomoConfig(eta_correction=0.85)
-    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=seed)
+    records = sample_homodyne(truth, cfg.n_phases, 50_000, eta=0.85, seed=seed)
     base = mle_reconstruct(records, cfg)
     for perm_seed in range(2):
         with monkeypatch.context() as patch:
@@ -453,7 +475,7 @@ def test_polish_off_the_optimal_face_hands_back_to_apg(monkeypatch):
     # and grows the third eigenvalue, and a later polish certifies the optimum
     truth = cat(0.7, "odd", 30)
     cfg = TomoConfig(eta_correction=0.85)
-    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=6)
+    records = sample_homodyne(truth, cfg.n_phases, 50_000, eta=0.85, seed=6)
     reference = mle_reconstruct(records, cfg)
     ranks = []
     face_factor = tomography._face_factor
@@ -477,7 +499,7 @@ def test_polish_off_the_optimal_face_hands_back_to_apg(monkeypatch):
 def test_polish_that_never_steps_leaves_the_apg_path_as_it_was(monkeypatch):
     # each stalled hand-over that did not move rho costs one iteration and nothing else:
     # APG goes on with its momentum, so it ends on the iterate APG alone ends on
-    records = sample_homodyne(cat(0.7, "odd", 30), default_phase_set(), 50_000, eta=0.85,
+    records = sample_homodyne(cat(0.7, "odd", 30), 12, 50_000, eta=0.85,
                               seed=FROZEN_SEED)
     cfg = TomoConfig(eta_correction=0.85)
     with monkeypatch.context() as patch:
@@ -532,7 +554,7 @@ def single_phase_bin_records():
     """Records on three phases over the same central bins, plus one record in a
     fringe bin that only the last phase populates and one in the overflow
     element of the middle phase."""
-    phases = default_phase_set(3)
+    phases = np.arange(3) * np.pi / 3
     qs = np.linspace(-1.45, 1.45, 59)
     thetas = np.repeat(phases, qs.size)
     return (np.append(thetas, [phases[2], phases[1]]),
@@ -545,14 +567,14 @@ def test_mle_on_populated_columns_matches_full_povm(case):
     # gap must still be those of the full POVM stack
     if case == "coherent_plus":
         truth = target_state(TargetSpec(kind="coherent_plus", alpha=0.7), 30)
-        records = sample_homodyne(truth, default_phase_set(), 50_000, eta=0.85, seed=FROZEN_SEED)
+        records = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
         cfg = TomoConfig(eta_correction=0.85)
     else:
         records = single_phase_bin_records()
         # at dim_recon 6 the bins hold all of the support to rounding, which
         # leaves the overflow element no probability to give a record
-        cfg = TomoConfig(dim_recon=12, phase_set=default_phase_set(3), bin_width=0.5)
-    counts = bin_records(records, cfg).reshape(len(cfg.phase_set), -1)
+        cfg = TomoConfig(dim_recon=12, n_phases=3, bin_width=0.5)
+    counts = bin_records(records, cfg).reshape(cfg.n_phases, -1)
     populated = counts.any(axis=0)
     assert 0 < populated.sum() < populated.size  # the fringes are empty in every phase
     if case == "single_phase_bin":
@@ -570,7 +592,7 @@ def test_mle_never_certifies_a_floored_probability():
     # probability under any state; P_FLOOR keeps the iteration finite, but
     # Tr R rho = 1 fails there, so the gap bounds nothing
     records = single_phase_bin_records()
-    cfg = TomoConfig(dim_recon=6, phase_set=default_phase_set(3), bin_width=0.5)
+    cfg = TomoConfig(dim_recon=6, n_phases=3, bin_width=0.5)
     result = mle_reconstruct(records, cfg)
     assert not result.converged
     assert result.log_likelihood == log_likelihood(result.state, records, cfg) == -np.inf
@@ -582,7 +604,7 @@ def test_sampled_records_keep_every_probability_above_the_floor(seed):
     # settings the floor never binds and a converged result keeps its likelihood
     truth = cat(0.7, "odd", 30)
     cfg = TomoConfig(eta_correction=0.85)
-    records = sample_homodyne(truth, cfg.phase_set, 50_000, eta=0.85, seed=seed)
+    records = sample_homodyne(truth, cfg.n_phases, 50_000, eta=0.85, seed=seed)
     result = mle_reconstruct(records, cfg)
     counts = bin_records(records, cfg)
     probs = _probabilities(result.state.mat, *_povm_factors(cfg))[counts > 0]
