@@ -3,8 +3,9 @@
 Subcommands: scan | prepare | tomo, each driven by a single JSON config
 document plus an output directory. Physical quantities carry explicit unit
 suffixes in key names (theta_rad, q_center_snu, delta_snu, squeezing_db) to
-prevent convention drift. All floats are serialized with 17 significant
-digits and no timestamps are written, so reruns are byte-identical.
+prevent convention drift. CSV floats are written as "%.17g" writes them, and
+JSON floats as json.dumps writes them, the shortest text that reads back as the
+same float. No timestamps are written, so reruns are byte-identical.
 
 Each subcommand parses its config into the library's objects before it computes,
 and only main maps errors to exit codes: 0 success, 1 output error, 2 config error,
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -66,52 +66,26 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration document."""
 
 
-def _fmt_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):  # JSON has no inf or nan, and json.loads reads neither
-            raise ValueError(f"cannot write the non-finite number {float(value)!r} as JSON")
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = sorted(value.items())
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(k)}: {_fmt_json(v, indent + 1)}' for k, v in items
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_fmt_json(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def write_json(obj, path) -> None:
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # JSON has no inf or nan, and json.loads reads neither
+        raise ValueError(f"cannot write the non-finite number as JSON: {exc}") from exc
     with replacing(path) as fh:
-        fh.write((_fmt_json(obj) + "\n").encode())
+        fh.write((text + "\n").encode())
 
 
-def write_scan_csv(rows, path) -> None:
+def write_scan_csv(params, targets, fids, path) -> None:
+    """Three equal-length columns: grid values, target kinds and fidelities."""
     # target kinds come from rsp.TARGET_KINDS, and none holds a comma or a quote,
     # so these are the bytes csv.writer wrote, which quotes only such fields
-    params, targets, fids = ([row[key] for row in rows] for key in ("param", "target", "fidelity"))
     write_csv(path, ([[b"param", b"target", b"fidelity"]],),
               (np.array(params, dtype=float)[:, None], np.array(targets, dtype=bytes)[:, None],
                np.array(fids, dtype=float)[:, None]))
 
 
 def _rho_pairs(mat: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in mat.ravel()]
+    return np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def load_config(path) -> dict:
@@ -260,19 +234,23 @@ def cmd_scan(cfg: dict):
     def run(out_dir: Path) -> None:
         resource = hybrid_entangled(params, dim_b=dim)
 
-        rows_c = fidelity_vs_q(resource, theta, q_grid, targets)
-        write_scan_csv(rows_c, out_dir / "fig1c.csv")
-        print(f"wrote fig1c.csv ({len(rows_c)} rows)")
+        fids_c = fidelity_vs_q(resource, theta, q_grid, targets)
+        kinds = [spec.kind for spec in targets]
+        write_scan_csv(np.repeat(q_grid, len(kinds)), np.tile(kinds, len(q_grid)), fids_c.ravel(),
+                       out_dir / "fig1c.csv")
+        print(f"wrote fig1c.csv ({fids_c.size} rows)")
 
-        rows_d = []
-        for q_center, target in eta_points:
-            rows_d.extend(fidelity_vs_eta(resource, q_center, theta, eta_grid, target))
-        write_scan_csv(rows_d, out_dir / "fig1d.csv")
-        print(f"wrote fig1d.csv ({len(rows_d)} rows)")
+        fids_d = np.concatenate([fidelity_vs_eta(resource, q_center, theta, eta_grid, target)
+                                 for q_center, target in eta_points])
+        write_scan_csv(np.tile(eta_grid, len(eta_points)),
+                       np.repeat([target.kind for _, target in eta_points], eta_grid.size),
+                       fids_d, out_dir / "fig1d.csv")
+        print(f"wrote fig1d.csv ({fids_d.size} rows)")
 
-        rows_e = fidelity_vs_delta(resource, delta_q, theta, delta_grid, delta_target)
-        write_scan_csv(rows_e, out_dir / "fig1e.csv")
-        print(f"wrote fig1e.csv ({len(rows_e)} rows)")
+        fids_e = fidelity_vs_delta(resource, delta_q, theta, delta_grid, delta_target)
+        write_scan_csv(delta_grid, np.repeat(delta_target.kind, delta_grid.size), fids_e,
+                       out_dir / "fig1e.csv")
+        print(f"wrote fig1e.csv ({fids_e.size} rows)")
 
     return run
 

@@ -102,15 +102,15 @@ TABLE1 = (
 DEFAULT_TARGETS = tuple(row.target for row in TABLE1)
 
 
-def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
-    """Rows (param, target, fidelity) of the states heralded by the acceptance
-    operators ops, one per grid value, from the mode-B blocks rho_B^{ac} of
-    the resource: F = Re sum E_ca <t|rho_B^{ac}|t> / Re sum E_ca Tr rho_B^{ac}.
+def _scan(resource: TwoModeState, ops, targets) -> np.ndarray:
+    """F[n, k]: the fidelity to targets[k] of the state heralded by the acceptance
+    operator ops[n], from the mode-B blocks rho_B^{ac} of the resource:
+    F = Re sum E_ca <t|rho_B^{ac}|t> / Re sum E_ca Tr rho_B^{ac}.
     The map E -> Tr_A[(E x 1) rho_AB] is completely positive, so a PSD
     resource and PSD operators stand in for a check of every heralded state."""
-    if len(grid) == 0:
-        return []
     ops = np.asarray(ops)
+    if len(ops) == 0:
+        return np.empty((0, len(targets)))
     lowest = np.minimum(np.linalg.eigvalsh(resource.mat).min(), np.linalg.eigvalsh(ops).min())
     if not lowest >= -EIG_TOL:  # NaN fails too
         raise ValueError("resource or acceptance operator is not positive semidefinite")
@@ -120,40 +120,35 @@ def _scan(resource: TwoModeState, grid, ops, targets) -> list[dict]:
     success = np.einsum("nca,ac->n", ops, np.einsum("abcb->ac", r4)).real
     if not np.all(success >= MIN_SUCCESS):  # NaN fails too
         raise ValueError("acceptance region has zero probability")
-    fids = np.clip(np.einsum("nca,kac->nk", ops, overlaps).real / success[:, None], 0.0, 1.0)
-    return [{"param": float(x), "target": spec.kind, "fidelity": float(f)}
-            for x, row in zip(grid, fids) for spec, f in zip(targets, row)]
+    return np.clip(np.einsum("nca,kac->nk", ops, overlaps).real / success[:, None], 0.0, 1.0)
 
 
-def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets) -> list[dict]:
-    """Point-conditioned fidelity for each (q, target) pair.
-
-    Rows carry keys param, target, fidelity with param the quadrature value.
-    """
+def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets) -> np.ndarray:
+    """Point-conditioned fidelity F[i, k] at q_grid[i] to targets[k]."""
     q = np.asarray(q_grid, dtype=float)
     ops = acceptance_operator(resource.dim_a, q[:, None], np.ones(1), theta_rad)
-    return _scan(resource, q, ops, targets)
+    return _scan(resource, ops, targets)
 
 
 def fidelity_vs_eta(resource: TwoModeState, q: float, theta_rad: float, eta_grid,
-                    target: TargetSpec) -> list[dict]:
-    """Point-conditioned fidelity as the heralding-path efficiency varies."""
+                    target: TargetSpec) -> np.ndarray:
+    """Point-conditioned fidelity at each heralding-path efficiency of eta_grid."""
     etas = np.asarray(eta_grid, dtype=float)
     ops = acceptance_operator(resource.dim_a, np.full((etas.size, 1), q), np.ones(1),
                               theta_rad, etas)
-    return _scan(resource, etas, ops, [target])
+    return _scan(resource, ops, [target])[:, 0]
 
 
 def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_grid,
-                      target: TargetSpec) -> list[dict]:
-    """Window-conditioned fidelity as the acceptance width varies; a zero
+                      target: TargetSpec) -> np.ndarray:
+    """Window-conditioned fidelity at each acceptance width of delta_grid; a zero
     width is the point projection, and a negative one raises ValueError."""
     deltas = np.asarray(delta_grid, dtype=float)
     nodes, weights = gauss_legendre(-deltas / 2, deltas / 2, WINDOW_NODES)
     windows = acceptance_operator(resource.dim_a, nodes + q, weights, theta_rad)
     point = conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0))
     ops = np.where((deltas == 0.0)[:, None, None], point, windows)
-    return _scan(resource, deltas, ops, [target])
+    return _scan(resource, ops, [target])[:, 0]
 
 
 def fit_power_law(deltas, drops) -> tuple[float, float]:

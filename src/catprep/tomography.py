@@ -56,8 +56,8 @@ class TomoConfig:
     n_phases: int = 12
 
     def __post_init__(self):  # written so that NaN fails every check
-        if not self.dim_recon >= 2:
-            raise ValueError("dim_recon must be at least 2")
+        if not (isinstance(self.dim_recon, (int, np.integer)) and self.dim_recon >= 2):
+            raise ValueError("dim_recon must be an integer of at least 2")
         if not (self.bin_width > 0 and 2 * Q_SUPPORT / self.bin_width < 2**63):
             raise ValueError("bin_width must be positive, with 2 * Q_SUPPORT / bin_width below 2**63")
         if not 0 < self.eta_correction <= 1:

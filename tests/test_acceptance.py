@@ -73,8 +73,7 @@ def _anchor_fidelities(dim: int) -> tuple[float, float]:
 def _coherent_argmax(dim: int) -> tuple[float, float]:
     resource = hybrid_entangled(ResourceParams(), dim_b=dim)
     qs = np.round(np.arange(0.80, 1.50 + 1e-9, 0.01), 10)
-    rows = fidelity_vs_q(resource, 0.0, qs, [TargetSpec("coherent_plus")])
-    fids = np.array([r["fidelity"] for r in rows])
+    fids = fidelity_vs_q(resource, 0.0, qs, [TargetSpec("coherent_plus")])[:, 0]
     k = int(fids.argmax())
     return float(qs[k]), float(fids[k])
 
@@ -82,12 +81,11 @@ def _coherent_argmax(dim: int) -> tuple[float, float]:
 def _power_law(dim: int) -> tuple[float, float]:
     resource = hybrid_entangled(ResourceParams(), dim_b=dim)
     target = TargetSpec("cat_minus")
-    f0 = fidelity_vs_q(resource, 0.0, [0.0], [target])[0]["fidelity"]
+    f0 = fidelity_vs_q(resource, 0.0, [0.0], [target])[0, 0]
     deltas = np.linspace(0.05, 0.4, 8)
-    rows = fidelity_vs_delta(resource, 0.0, 0.0, deltas, target)
-    drops = f0 - np.array([r["fidelity"] for r in rows])
+    drops = f0 - fidelity_vs_delta(resource, 0.0, 0.0, deltas, target)
     _, exponent = fit_power_law(deltas, drops)
-    drop_02 = f0 - fidelity_vs_delta(resource, 0.0, 0.0, [0.2], target)[0]["fidelity"]
+    drop_02 = f0 - fidelity_vs_delta(resource, 0.0, 0.0, [0.2], target)[0]
     return float(exponent), float(drop_02)
 
 
@@ -131,9 +129,7 @@ def test_coherent_point_scan(capsys):
     """
     q_star, f_star = _coherent_argmax(40)
     resource = hybrid_entangled(ResourceParams(), dim_b=40)
-    mirror = fidelity_vs_q(resource, 0.0, [-q_star], [TargetSpec("coherent_minus")])[0][
-        "fidelity"
-    ]
+    mirror = fidelity_vs_q(resource, 0.0, [-q_star], [TargetSpec("coherent_minus")])[0, 0]
     symmetric = np.isclose(mirror, f_star, atol=1e-9)
     ok = abs(q_star - 1.14) <= 0.03 and symmetric
     _report(capsys, ok, "coherent-point scan",
@@ -210,10 +206,9 @@ def test_heralding_loss_monotonicity(capsys):
     worst_violation = 0.0
     max_gap_at_one = 0.0
     for q, kind in ((0.0, "cat_minus"), (1.14, "coherent_plus")):
-        rows = fidelity_vs_eta(resource, q, 0.0, etas, TargetSpec(kind))
-        fids = [r["fidelity"] for r in rows]
+        fids = fidelity_vs_eta(resource, q, 0.0, etas, TargetSpec(kind))
         worst_violation = max(worst_violation, float(np.max(np.diff(fids))))
-        point = fidelity_vs_q(resource, 0.0, [q], [TargetSpec(kind)])[0]["fidelity"]
+        point = fidelity_vs_q(resource, 0.0, [q], [TargetSpec(kind)])[0, 0]
         max_gap_at_one = max(max_gap_at_one, abs(fids[0] - point))
     ok = worst_violation <= 1e-9 and max_gap_at_one <= 1e-9
     _report(capsys, ok, "heralding loss monotonicity",

@@ -2,14 +2,18 @@ import dataclasses
 import importlib
 import itertools
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import catprep
 from catprep import tomography
@@ -24,7 +28,8 @@ from catprep.cli import (
     write_json,
     write_scan_csv,
 )
-from catprep.states import cat
+from catprep.rsp import TargetSpec, fidelity_vs_q
+from catprep.states import ResourceParams, cat, hybrid_entangled
 from catprep.wigner import WignerGrid, write_grid_csv
 from oracles import read_grid_csv, wigner_series
 
@@ -70,7 +75,30 @@ def test_write_json_format(tmp_path):
     }
     # keys serialized in sorted order
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
-    assert "0.10000000000000001" in text  # 17 significant digits
+    assert '"b": 0.1,' in text  # the shortest text that reads back as the same float
+
+
+def float_bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+       .filter(math.isfinite))
+@example(0.0)
+@example(-0.0)
+@example(1.0)
+@example(2.0**53)
+@example(5e-324)
+@example(np.float64(0.5))
+def test_write_json_floats_read_back_as_the_same_float(tmp_path_factory, value):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json({"x": value, "xs": [value, 7], "n": 2**53}, path)
+    doc = json.loads(path.read_text())
+    for got in (doc["x"], doc["xs"][0]):
+        assert type(got) is float
+        assert float_bits(got) == float_bits(value)  # the sign of zero too
+    assert type(doc["xs"][1]) is int and type(doc["n"]) is int and doc["n"] == 2**53
 
 
 @pytest.mark.parametrize("value", [float("-inf"), float("inf"), NAN, np.float64("-inf")])
@@ -108,15 +136,31 @@ SCAN_DOC = {
 
 
 def test_scan_outputs(tmp_path, capsys):
-    cfg = write_config(tmp_path, "scan.json", SCAN_DOC)
+    eta_scan = SCAN_DOC["eta_scan"] + [{"q_center_snu": 1.14, "target": {"kind": "coherent_plus"}}]
+    cfg = write_config(tmp_path, "scan.json", {**SCAN_DOC, "eta_scan": eta_scan})
     out = tmp_path / "out"
     assert run(["scan", "--config", cfg, "--out", out]) == EXIT_OK
-    for name, rows in (("fig1c.csv", 5 * 2), ("fig1d.csv", 3), ("fig1e.csv", 3)):
+    columns = {}
+    for name, rows in (("fig1c.csv", 5 * 2), ("fig1d.csv", 2 * 3), ("fig1e.csv", 3)):
         lines = (out / name).read_text().strip().splitlines()
         assert lines[0] == "param,target,fidelity"
         assert len(lines) == rows + 1
+        params, targets, fids = zip(*(line.split(",") for line in lines[1:]))
+        columns[name] = [float(p) for p in params], list(targets), [float(f) for f in fids]
     captured = capsys.readouterr()
-    assert "fig1c.csv" in captured.out
+    assert "wrote fig1c.csv (10 rows)" in captured.out
+    # fig1c is param-major, with the targets in config order at each q
+    qs = np.linspace(-1.0, 1.0, 5)
+    params, targets, fids = columns["fig1c.csv"]
+    assert params == [q for q in qs for _ in range(2)]
+    assert targets == ["cat_minus", "coherent_plus"] * 5
+    resource = hybrid_entangled(ResourceParams(), dim_b=SCAN_DOC["dim"])
+    specs = [TargetSpec("cat_minus"), TargetSpec("coherent_plus")]
+    assert fids == fidelity_vs_q(resource, 0.0, qs, specs).ravel().tolist()
+    # fig1d holds one block of the eta grid per eta_scan entry, in config order
+    params, targets, _ = columns["fig1d.csv"]
+    assert params == np.linspace(0.8, 1.0, 3).tolist() * 2
+    assert targets == ["cat_minus"] * 3 + ["coherent_plus"] * 3
 
 
 def test_scan_rerun_is_byte_identical(tmp_path):
@@ -576,10 +620,10 @@ def test_unallocatable_sample_count_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "records.csv").exists()
 
 
-SCAN_ROW = {"param": 0.1, "target": "cat_minus", "fidelity": 0.5}
 WRITERS = {  # writer, a document it writes, and one it fails on
     "write_json": (write_json, {"a": 1.0}, {"a": object()}),
-    "write_scan_csv": (write_scan_csv, [SCAN_ROW], [{"param": 0.2}]),
+    "write_scan_csv": (lambda columns, path: write_scan_csv(*columns, path),
+                       ([0.1], ["cat_minus"], [0.5]), ([0.2], [], [])),
     "write_grid_csv": (write_grid_csv, WignerGrid(np.zeros(1), np.zeros(1), np.zeros((1, 1))),
                        WignerGrid(np.zeros(1), np.zeros(1), [["text"]])),
     "write_records": (tomography.write_records, (np.zeros(2), np.ones(2)),

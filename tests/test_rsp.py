@@ -78,23 +78,24 @@ def test_published_table_contents():
 
 def test_point_fidelity_anchor_at_q_zero():
     # frozen: experimental balanced resource, dim_b = 40, point projection
-    rows = fidelity_vs_q(
+    (cat_minus, cat_plus), = fidelity_vs_q(
         experimental_resource(), 0.0, [0.0],
         [TargetSpec("cat_minus"), TargetSpec("cat_plus")],
     )
-    by_target = {r["target"]: r["fidelity"] for r in rows}
-    assert np.isclose(by_target["cat_minus"], 0.9489727810938092, atol=1e-9)
-    assert by_target["cat_plus"] < 0.05
+    assert np.isclose(cat_minus, 0.9489727810938092, atol=1e-9)
+    assert cat_plus < 0.05
 
 
 def test_scan_row_layout():
-    rows = fidelity_vs_q(
-        experimental_resource(30), 0.0, [-1.0, 0.0, 1.0],
-        [TargetSpec("cat_minus"), TargetSpec("coherent_plus")],
-    )
-    assert len(rows) == 6
-    assert [r["param"] for r in rows] == [-1.0, -1.0, 0.0, 0.0, 1.0, 1.0]
-    assert [r["target"] for r in rows[:2]] == ["cat_minus", "coherent_plus"]
+    # F[i, k]: one row per q, one column per target in the order given
+    res = experimental_resource(30)
+    qs = [-1.0, 0.0, 1.0]
+    fids = fidelity_vs_q(res, 0.0, qs, [TargetSpec("cat_minus"), TargetSpec("coherent_plus")])
+    want = [[fidelity_vs_q(res, 0.0, [q], [TargetSpec(kind)])[0, 0]
+             for kind in ("cat_minus", "coherent_plus")] for q in qs]
+    assert fids.shape == (3, 2)
+    assert np.allclose(fids, want, rtol=0, atol=1e-12)
+    assert fidelity_vs_q(res, 0.0, [], [TargetSpec("cat_minus")]).shape == (0, 1)
 
 
 def test_mirror_symmetry_between_coherent_targets():
@@ -102,29 +103,27 @@ def test_mirror_symmetry_between_coherent_targets():
     qs = [0.4, 0.9, 1.4]
     plus = fidelity_vs_q(res, 0.0, qs, [TargetSpec("coherent_plus")])
     minus = fidelity_vs_q(res, 0.0, [-q for q in qs], [TargetSpec("coherent_minus")])
-    for a, b in zip(plus, minus):
-        assert np.isclose(a["fidelity"], b["fidelity"], atol=1e-9)
+    for a, b in zip(plus[:, 0], minus[:, 0]):
+        assert np.isclose(a, b, atol=1e-9)
 
 
 def test_eta_scan_consistency_and_monotonicity():
     res = experimental_resource()
     target = TargetSpec("cat_minus")
     etas = [0.5, 0.7, 0.9, 1.0]
-    rows = fidelity_vs_eta(res, 0.0, 0.0, etas, target)
-    assert [r["param"] for r in rows] == etas
-    fids = [r["fidelity"] for r in rows]
+    fids = fidelity_vs_eta(res, 0.0, 0.0, etas, target)
+    assert fids.shape == (len(etas),)
     assert np.all(np.diff(fids) > 0)
-    point = fidelity_vs_q(res, 0.0, [0.0], [target])[0]["fidelity"]
+    point = fidelity_vs_q(res, 0.0, [0.0], [target])[0, 0]
     assert np.isclose(fids[-1], point, atol=1e-12)
 
 
 def test_delta_scan_consistency():
     res = experimental_resource()
     target = TargetSpec("cat_minus")
-    rows = fidelity_vs_delta(res, 0.0, 0.0, [0.0, 0.2, 0.4], target)
-    point = fidelity_vs_q(res, 0.0, [0.0], [target])[0]["fidelity"]
-    assert np.isclose(rows[0]["fidelity"], point, atol=1e-12)
-    fids = [r["fidelity"] for r in rows]
+    fids = fidelity_vs_delta(res, 0.0, 0.0, [0.0, 0.2, 0.4], target)
+    point = fidelity_vs_q(res, 0.0, [0.0], [target])[0, 0]
+    assert np.isclose(fids[0], point, atol=1e-12)
     assert fids[0] > fids[1] > fids[2]
 
 
@@ -151,8 +150,8 @@ def test_scans_match_conditioned_states(dim_a, theta, q, eta, delta):
     def reference(c, spec):
         return fidelity(condition(res, c).rho, target_state(spec, SCAN_DIM_B))
 
-    def check(rows, want):
-        assert np.allclose([r["fidelity"] for r in rows], want, rtol=0, atol=1e-12)
+    def check(fids, want):
+        assert np.allclose(fids.ravel(), want, rtol=0, atol=1e-12)
 
     check(fidelity_vs_q(res, theta, [q, -q], specs),
           [reference(Conditioning(theta, x, 0.0), s) for x in (q, -q) for s in specs])
@@ -218,8 +217,7 @@ def test_coherent_fidelity_peak_location():
     # best coherent-state fidelity near q = 1.51, not at the published 1.14
     res = experimental_resource()
     qs = np.arange(1.30, 1.75, 0.002)
-    rows = fidelity_vs_q(res, 0.0, qs, [TargetSpec("coherent_plus")])
-    fids = np.array([r["fidelity"] for r in rows])
+    fids = fidelity_vs_q(res, 0.0, qs, [TargetSpec("coherent_plus")])[:, 0]
     q_star = qs[fids.argmax()]
     assert np.isclose(q_star, 1.5146, atol=0.01)
     # interior maximum, not a grid-edge artifact

@@ -43,8 +43,9 @@ def random_density(dim, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TomoConfig(dim_recon=1)
+    for bad in (1, 8.0, 2.5, np.nan):
+        with pytest.raises(ValueError, match="dim_recon"):
+            TomoConfig(dim_recon=bad)
     with pytest.raises(ValueError):
         TomoConfig(bin_width=0.0)
     with pytest.raises(ValueError):
