@@ -11,7 +11,7 @@ X = a + a† (vacuum variance 1), fidelity F = <t|rho|t> against pure targets.
 
 Callers import from the module that defines a name:
 
-    fock        state types, partial trace, fidelity, purity, photon number
+    fock        state types, fidelity, purity, photon number
     states      coherent, cat and squeezed states, the hybrid resource
     channels    photon loss and its Heisenberg-picture adjoint
     homodyne    quadrature wavefunctions, acceptance operators, condition

@@ -50,7 +50,6 @@ from .wigner import (
     GRID_STEP,
     default_grid_axes,
     grid_metadata,
-    negativity_min,
     wigner_grid,
     wigner_origin,
     write_grid_csv,
@@ -286,7 +285,7 @@ def cmd_prepare(cfg: dict):
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
     _check_alpha("bloch_alpha", bloch_alpha, dim)
     wnode = _section(cfg, "wigner")
-    axes = default_grid_axes(
+    xs, ps = default_grid_axes(
         _float(wnode, "min_snu", GRID_MIN), _float(wnode, "max_snu", GRID_MAX),
         _float(wnode, "step_snu", GRID_STEP),
     )
@@ -334,11 +333,12 @@ def cmd_prepare(cfg: dict):
                     "subspace_weight": coords.subspace_weight, "alpha": bloch_alpha},
                    out_dir / "bloch.json")
 
-        grid = wigner_grid(prep.rho, *axes)
-        write_grid_csv(grid, out_dir / "wigner.csv")
-        meta = grid_metadata(grid, dim, f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}")
+        values = wigner_grid(prep.rho, xs, ps)
+        write_grid_csv(xs, ps, values, out_dir / "wigner.csv")
+        descriptor = f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}"
+        meta = grid_metadata(xs, ps, dim, descriptor)
         meta["w_origin"] = wigner_origin(prep.rho)
-        meta["negativity_min"] = negativity_min(grid)
+        meta["negativity_min"] = float(values.min())
         write_json(meta, out_dir / "wigner.json")
 
         print(f"success_prob = {prep.success_prob:.6g}"

@@ -56,9 +56,6 @@ class PureState:
             raise ValueError("cannot normalize a zero vector")
         return cls(amps / nrm)
 
-    def density(self) -> "MixedState":
-        return MixedState(np.outer(self.amps, self.amps.conj()))
-
 
 @dataclass
 class MixedState:
@@ -116,15 +113,6 @@ class TwoModeState:
         return cls(np.outer(vec, vec.conj()), dim_a, dim_b)
 
 
-def basis_state(n: int, dim: int) -> PureState:
-    """Fock state |n> in a dim-dimensional truncation."""
-    if not 0 <= n < dim:
-        raise ValueError(f"need 0 <= n < dim, got n={n}, dim={dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[n] = 1.0
-    return PureState(amps)
-
-
 def annihilate(state: PureState) -> np.ndarray:
     """Apply the lowering operator a.
 
@@ -143,19 +131,6 @@ def _as_density(state) -> np.ndarray:
     if isinstance(state, MixedState):
         return state.mat
     raise TypeError(f"expected PureState or MixedState, got {type(state).__name__}")
-
-
-def partial_trace(state: TwoModeState, keep: str) -> MixedState:
-    """Trace out one mode; keep is 'a' or 'b'."""
-    r4 = state.mat.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
-    if keep == "a":
-        red = np.einsum("ibjb->ij", r4)
-    elif keep == "b":
-        red = np.einsum("aiaj->ij", r4)
-    else:
-        raise ValueError("keep must be 'a' or 'b'")
-    red = 0.5 * (red + red.conj().T)
-    return MixedState(red)
 
 
 def fidelity(state, target: PureState) -> float:

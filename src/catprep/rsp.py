@@ -73,30 +73,29 @@ def target_state(spec: TargetSpec, dim: int) -> PureState:
 
 @dataclass
 class Table1Row:
-    """One published preparation: target, conditioning, reference numbers.
+    """One published preparation: target, conditioning, published fidelity.
+    Row k of the paper's Table 1 is TABLE1[k - 1].
 
     The published fidelities are experimental values and are not accuracy
     targets for the simulation; they are carried for side-by-side reporting.
     """
 
-    index: int
     target: TargetSpec
     q_center: float
     theta_rad: float
     tail: bool
     published_fidelity: float
-    published_rate_hz: float
 
 
 TABLE1 = (
-    Table1Row(1, TargetSpec("cat_plus"), 2.0, 0.0, True, 0.86, 13_800.0),
-    Table1Row(2, TargetSpec("cat_minus"), 0.0, 0.0, False, 0.65, 9_600.0),
-    Table1Row(3, TargetSpec("coherent_plus"), 1.14, 0.0, False, 0.85, 9_400.0),
-    Table1Row(4, TargetSpec("coherent_minus"), -1.14, 0.0, False, 0.85, 9_400.0),
+    Table1Row(TargetSpec("cat_plus"), 2.0, 0.0, True, 0.86),
+    Table1Row(TargetSpec("cat_minus"), 0.0, 0.0, False, 0.65),
+    Table1Row(TargetSpec("coherent_plus"), 1.14, 0.0, False, 0.85),
+    Table1Row(TargetSpec("coherent_minus"), -1.14, 0.0, False, 0.85),
     # rows 5/6: Q sign written in this package's phase convention
     # (flipping the sign of Q equals shifting theta by pi)
-    Table1Row(5, TargetSpec("phase_cat_plus"), 1.14, np.pi / 2, False, 0.81, 9_400.0),
-    Table1Row(6, TargetSpec("phase_cat_minus"), -1.14, np.pi / 2, False, 0.80, 9_400.0),
+    Table1Row(TargetSpec("phase_cat_plus"), 1.14, np.pi / 2, False, 0.81),
+    Table1Row(TargetSpec("phase_cat_minus"), -1.14, np.pi / 2, False, 0.80),
 )
 
 DEFAULT_TARGETS = tuple(row.target for row in TABLE1)
@@ -149,20 +148,6 @@ def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_
     point = conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0))
     ops = np.where((deltas == 0.0)[:, None, None], point, windows)
     return _scan(resource, ops, [target])[:, 0]
-
-
-def fit_power_law(deltas, drops) -> tuple[float, float]:
-    """Fit drop = c * delta^p by least squares on logs; returns (c, p).
-
-    Nonpositive drops (possible at machine-level widths) are excluded.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    drops = np.asarray(drops, dtype=float)
-    mask = (deltas > 0) & (drops > 0)
-    if mask.sum() < 2:
-        raise ValueError("need at least two positive (delta, drop) pairs")
-    slope, intercept = np.polyfit(np.log(deltas[mask]), np.log(drops[mask]), 1)
-    return float(np.exp(intercept)), float(slope)
 
 
 @dataclass

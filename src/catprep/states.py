@@ -13,8 +13,10 @@ from .fock import PureState, TwoModeState, annihilate
 
 def within_truncation(alpha: complex, dim: int) -> bool:
     """|alpha|^2 < dim/4: a coherent state this small has a negligible tail
-    beyond a dim-level truncation (False for NaN)."""
-    return abs(alpha) ** 2 < dim / 4
+    beyond a dim-level truncation (False for NaN). |alpha| < dim comes first, so
+    that no |alpha| squares past the float range; for dim >= 1 it changes no verdict."""
+    a = abs(alpha)
+    return a < dim and a ** 2 < dim / 4
 
 
 def coherent(alpha: complex, dim: int) -> PureState:
@@ -23,7 +25,8 @@ def coherent(alpha: complex, dim: int) -> PureState:
     Requires within_truncation(alpha, dim).
     """
     if not within_truncation(alpha, dim):
-        raise ValueError(f"|alpha|^2 = {abs(alpha)**2:.3f} too large for dim {dim} (need < dim/4)")
+        raise ValueError(f"|alpha| = {abs(alpha):.4g} too large for dim {dim} "
+                         "(need |alpha|^2 < dim/4)")
     n = np.arange(dim)
     log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # log k!
     amps = np.exp(-abs(alpha) ** 2 / 2 - 0.5 * log_fact) * np.asarray(alpha, dtype=complex) ** n
@@ -121,34 +124,3 @@ def hybrid_entangled(params: ResourceParams, dim_b: int = 30) -> TwoModeState:
     w = params.weight_dv
     vec = np.concatenate([np.sqrt(1 - w) * cv_minus.amps, np.sqrt(w) * cv_plus.amps])
     return TwoModeState.from_pure(vec, 2, dim_b)
-
-
-def effective_alpha(state: PureState, parity: str) -> tuple[float, float]:
-    """Best-fit cat size: argmax over alpha of F(state, cat(alpha, parity)).
-
-    Coarse grid on [0.05, 2] then golden-section refinement. Returns
-    (alpha_eff, fidelity).
-    """
-    def neg_f(a):
-        return -abs(np.vdot(cat(a, parity, state.dim).amps, state.amps)) ** 2
-
-    grid = np.linspace(0.05, 2.0, 80)
-    vals = [neg_f(a) for a in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    invphi = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = neg_f(c), neg_f(d)
-    while b - a > 1e-8:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = neg_f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = neg_f(d)
-    best = 0.5 * (a + b)
-    return float(best), float(-neg_f(best))

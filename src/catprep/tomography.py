@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import loss_channel
 from .files import write_csv
-from .fock import MixedState, _as_density
+from .fock import MixedState
 from .homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
 
 CDF_STEP = 1e-3  # inverse-CDF table resolution; error well under shot noise
@@ -276,18 +276,6 @@ def _gauge_basis(r: int) -> np.ndarray:
     basis = np.array(basis)
     basis.flags.writeable = False
     return basis
-
-
-def log_likelihood(state, records, cfg: TomoConfig) -> float:
-    """Frequency-weighted log likelihood of the binned records; -inf when a
-    populated bin has zero probability under the state."""
-    counts = bin_records(records, cfg)
-    freqs = counts / counts.sum()
-    rho = _as_density(state)
-    if rho.shape[0] != cfg.dim_recon:
-        raise ValueError("state dimension must match dim_recon")
-    active = freqs > 0
-    return _frequencies_ll(freqs[active], _probabilities(rho, *_povm_factors(cfg))[active])
 
 
 def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:

@@ -8,8 +8,6 @@ W(0, 0) = Tr[rho (-1)^n] / (2 pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .files import write_csv
@@ -24,19 +22,6 @@ GRID_STEP = 0.05  # the +-6 box misses 0.8e-4 to 4.3e-4 of the mass of the Table
 STEP_SLACK = 1e-9  # relative rounding slack in a grid's step count
 RADIUS_MARGIN = 7.0  # snu past the top Fock turning point; 6.5 is the least that holds 1e-14
 X_BLOCK = 32  # x columns per quadrature pass, which bounds the kernel's memory
-
-
-@dataclass
-class WignerGrid:
-    """Values W(x, p) on a rectangular grid; values[i, j] = W(xs[j], ps[i])."""
-
-    xs: np.ndarray
-    ps: np.ndarray
-    values: np.ndarray
-
-    def integral(self) -> float:
-        inner = np.trapezoid(self.values, self.xs, axis=1)
-        return float(np.trapezoid(inner, self.ps))
 
 
 def default_grid_axes(lo: float = GRID_MIN, hi: float = GRID_MAX, step: float = GRID_STEP):
@@ -59,8 +44,8 @@ def default_grid_axes(lo: float = GRID_MIN, hi: float = GRID_MAX, step: float = 
     return axis, axis.copy()
 
 
-def _wigner(rho: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W on the outer product of the axes, values[i, j] = W(xs[j], ps[i]).
+def wigner_grid(state, xs, ps) -> np.ndarray:
+    """W on the outer product of the axes xs and ps, values[i, j] = W(xs[j], ps[i]).
 
     W(x, p) = (1/2 pi) Int du e^{-ipu} g(x, u), g = psi(x + u)^T rho psi(x - u) for the
     quadrature wavefunctions psi, and g(x, -u) = conj g(x, u), so W is (1/pi) times the
@@ -73,6 +58,9 @@ def _wigner(rho: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     the Laguerre series of Johansson, Nation, Nori (Comput. Phys. Commun. 184, 1234 (2013))
     to 1e-14.
     """
+    rho = _as_density(state)
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
     dim = rho.shape[0]
     radius = np.sqrt(4 * dim - 2) + RADIUS_MARGIN
     values = np.zeros((ps.size, xs.size))
@@ -98,33 +86,21 @@ def wigner_origin(state) -> float:
     return float((1 / (2 * np.pi)) * np.cumsum(diag * (-1.0) ** np.arange(diag.size))[-1])
 
 
-def wigner_grid(state, xs, ps) -> WignerGrid:
-    """Evaluate W on the outer product of the axes xs and ps."""
-    xs = np.asarray(xs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    return WignerGrid(xs, ps, _wigner(_as_density(state), xs, ps))
-
-
-def negativity_min(grid: WignerGrid) -> float:
-    return float(grid.values.min())
-
-
-def write_grid_csv(grid: WignerGrid, path) -> None:
+def write_grid_csv(xs, ps, values, path) -> None:
     """CSV matrix: two header rows carrying the axes, then W rows (one per p)."""
-    xs, ps, values = (np.asarray(a, dtype=float) for a in (grid.xs, grid.ps, grid.values))
+    xs, ps, values = (np.asarray(a, dtype=float) for a in (xs, ps, values))
     write_csv(path, ([[b"xs"]], xs[None]), ([[b"ps"]], ps[None]), (values,))
 
 
-def grid_metadata(grid: WignerGrid, dim: int, descriptor: str) -> dict:
+def grid_metadata(xs, ps, dim: int, descriptor: str) -> dict:
     return {
         "convention": CONVENTION_TAG,
         "dim": dim,
         "state": descriptor,
-        "x_min_snu": float(grid.xs[0]),
-        "x_max_snu": float(grid.xs[-1]),
-        "p_min_snu": float(grid.ps[0]),
-        "p_max_snu": float(grid.ps[-1]),
-        "n_x": int(grid.xs.size),
-        "n_p": int(grid.ps.size),
+        "x_min_snu": float(xs[0]),
+        "x_max_snu": float(xs[-1]),
+        "p_min_snu": float(ps[0]),
+        "p_max_snu": float(ps[-1]),
+        "n_x": int(xs.size),
+        "n_p": int(ps.size),
     }
-

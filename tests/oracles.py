@@ -1,16 +1,122 @@
-"""Test oracles: references that nothing in catprep calls. The full stack of
-POVM elements and a records.csv reader for tomography, quadrature overlaps and
-the closed-form point-projection state for homodyne conditioning, loss on
-mode A of a two-mode state, the Laguerre series of the Wigner function with
-a wigner.csv reader, and the kernel's value at one point."""
+"""Test oracles: references that nothing in catprep calls.
+
+- fock: the Fock state |n> (basis_state), the density matrix of a pure state
+  (density) and the partial trace of a two-mode state (partial_trace);
+- states: the best-fit cat size of a state (effective_alpha);
+- homodyne: the quadrature overlaps <q_theta|n> and the closed-form state of
+  point-projection conditioning;
+- channels: loss on mode A of a two-mode state;
+- rsp: the least-squares power law of a fidelity drop against the window
+  width (fit_power_law);
+- tomography: the full stack of POVM elements, the log likelihood of a record
+  set under a state (log_likelihood) and a records.csv reader;
+- wigner: the Laguerre series of the Wigner function, its value at one point,
+  the trapezoid integral of a grid (grid_integral) and a wigner.csv reader.
+
+The named ones moved here from catprep, which runs none of them: basis_state,
+partial_trace, effective_alpha, fit_power_law and log_likelihood under the same
+names, density from the PureState.density method, and grid_integral from the
+WignerGrid.integral method.
+"""
 
 import numpy as np
 
 from catprep.channels import loss
-from catprep.fock import PureState, TwoModeState
+from catprep.fock import MixedState, PureState, TwoModeState, _as_density
 from catprep.homodyne import quad_wavefunctions
-from catprep.tomography import TomoConfig, _povm_factors
-from catprep.wigner import WignerGrid, wigner_grid
+from catprep.states import cat
+from catprep.tomography import (
+    TomoConfig,
+    _frequencies_ll,
+    _povm_factors,
+    _probabilities,
+    bin_records,
+)
+from catprep.wigner import wigner_grid
+
+
+def basis_state(n: int, dim: int) -> PureState:
+    """Fock state |n> in a dim-dimensional truncation."""
+    if not 0 <= n < dim:
+        raise ValueError(f"need 0 <= n < dim, got n={n}, dim={dim}")
+    amps = np.zeros(dim, dtype=complex)
+    amps[n] = 1.0
+    return PureState(amps)
+
+
+def density(state: PureState) -> MixedState:
+    """The density matrix |psi><psi| of a pure state."""
+    return MixedState(np.outer(state.amps, state.amps.conj()))
+
+
+def partial_trace(state: TwoModeState, keep: str) -> MixedState:
+    """Trace out one mode; keep is 'a' or 'b'."""
+    r4 = state.mat.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
+    if keep == "a":
+        red = np.einsum("ibjb->ij", r4)
+    elif keep == "b":
+        red = np.einsum("aiaj->ij", r4)
+    else:
+        raise ValueError("keep must be 'a' or 'b'")
+    red = 0.5 * (red + red.conj().T)
+    return MixedState(red)
+
+
+def effective_alpha(state: PureState, parity: str) -> tuple[float, float]:
+    """Best-fit cat size: argmax over alpha of F(state, cat(alpha, parity)).
+
+    Coarse grid on [0.05, 2] then golden-section refinement. Returns
+    (alpha_eff, fidelity).
+    """
+    def neg_f(a):
+        return -abs(np.vdot(cat(a, parity, state.dim).amps, state.amps)) ** 2
+
+    grid = np.linspace(0.05, 2.0, 80)
+    vals = [neg_f(a) for a in grid]
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    invphi = (np.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = neg_f(c), neg_f(d)
+    while b - a > 1e-8:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = neg_f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = neg_f(d)
+    best = 0.5 * (a + b)
+    return float(best), float(-neg_f(best))
+
+
+def fit_power_law(deltas, drops) -> tuple[float, float]:
+    """Fit drop = c * delta^p by least squares on logs; returns (c, p).
+
+    Nonpositive drops (possible at machine-level widths) are excluded.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    drops = np.asarray(drops, dtype=float)
+    mask = (deltas > 0) & (drops > 0)
+    if mask.sum() < 2:
+        raise ValueError("need at least two positive (delta, drop) pairs")
+    slope, intercept = np.polyfit(np.log(deltas[mask]), np.log(drops[mask]), 1)
+    return float(np.exp(intercept)), float(slope)
+
+
+def log_likelihood(state, records, cfg: TomoConfig) -> float:
+    """Frequency-weighted log likelihood of the binned records; -inf when a
+    populated bin has zero probability under the state."""
+    counts = bin_records(records, cfg)
+    freqs = counts / counts.sum()
+    rho = _as_density(state)
+    if rho.shape[0] != cfg.dim_recon:
+        raise ValueError("state dimension must match dim_recon")
+    active = freqs > 0
+    return _frequencies_ll(freqs[active], _probabilities(rho, *_povm_factors(cfg))[active])
 
 
 def build_povm(cfg: TomoConfig) -> np.ndarray:
@@ -27,13 +133,20 @@ def read_records(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0].copy(), data[:, 1].copy()
 
 
-def read_grid_csv(path) -> WignerGrid:
-    """The grid of a file written by write_grid_csv: two axis rows, then the matrix."""
+def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (xs, ps, values) of a file written by write_grid_csv: two axis rows,
+    then the matrix."""
     with open(path) as fh:
         xs = np.array(fh.readline().split(",")[1:], dtype=float)
         ps = np.array(fh.readline().split(",")[1:], dtype=float)
         values = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return WignerGrid(xs, ps, values)
+    return xs, ps, values
+
+
+def grid_integral(xs, ps, values) -> float:
+    """The trapezoid integral of W over a grid, values[i, j] = W(xs[j], ps[i])."""
+    inner = np.trapezoid(values, xs, axis=1)
+    return float(np.trapezoid(inner, ps))
 
 
 def quad_overlaps(dim: int, q: float, theta: float) -> np.ndarray:
@@ -103,4 +216,4 @@ def wigner_series_grid(rho: np.ndarray, xs, ps) -> np.ndarray:
 
 def wigner_point(state, x: float, p: float) -> float:
     """W(x, p) for a single phase-space point: a one-point grid."""
-    return float(wigner_grid(state, [x], [p]).values[0, 0])
+    return float(wigner_grid(state, [x], [p])[0, 0])

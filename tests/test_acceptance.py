@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from catprep.fock import basis_state, fidelity
+from catprep.fock import fidelity
 from catprep.homodyne import Conditioning, condition
 from catprep.rsp import (
     DEFAULT_TARGETS,
@@ -20,7 +20,6 @@ from catprep.rsp import (
     fidelity_vs_delta,
     fidelity_vs_eta,
     fidelity_vs_q,
-    fit_power_law,
     heralded_rate,
     target_state,
 )
@@ -31,7 +30,7 @@ from catprep.tomography import (
     mle_reconstruct,
     sample_homodyne,
 )
-from oracles import closed_form_state, wigner_point
+from oracles import basis_state, closed_form_state, fit_power_law, wigner_point
 
 # representative sampling seed; the reconstruction fidelity estimator has a
 # seed-to-seed spread of about +-0.004 at 50k samples, so the seed is pinned

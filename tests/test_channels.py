@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catprep.channels import _amplitudes, _sqrt_binomials, loss, loss_adjoint, loss_channel
-from catprep.fock import MixedState, basis_state, fidelity, mean_photon_number, partial_trace
+from catprep.fock import MixedState, fidelity, mean_photon_number
 from catprep.states import ResourceParams, coherent, hybrid_entangled
-from oracles import loss_on_mode_a
+from oracles import basis_state, loss_on_mode_a, partial_trace
 
 
 def random_density(dim, seed):

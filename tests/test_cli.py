@@ -30,7 +30,7 @@ from catprep.cli import (
 )
 from catprep.rsp import TargetSpec, fidelity_vs_q
 from catprep.states import ResourceParams, cat, hybrid_entangled
-from catprep.wigner import WignerGrid, write_grid_csv
+from catprep.wigner import write_grid_csv
 from oracles import read_grid_csv, wigner_series
 
 
@@ -236,8 +236,7 @@ def test_prepare_wide_wigner_axes_match_series(tmp_path):
     cfg = write_config(tmp_path, "prep.json", doc)
     out = tmp_path / "out"
     assert run(["prepare", "--config", cfg, "--out", out]) == EXIT_OK
-    grid = read_grid_csv(out / "wigner.csv")
-    xs, ps, values = grid.xs, grid.ps, grid.values
+    xs, ps, values = read_grid_csv(out / "wigner.csv")
     assert values.shape == (241, 241) and np.isfinite(values).all()
     pairs = json.loads((out / "state.json").read_text())["rho"]
     rho = np.array([complex(*v) for v in pairs]).reshape(25, 25)
@@ -518,6 +517,25 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
 
 
 @pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("scan", {"dim": 12, "targets": [{"kind": "cat_minus", "alpha": 1e308}]}),
+        ("tomo", {**TOMO_DOC, "truth": {"kind": "cat_minus", "alpha": 1e200}}),
+        ("prepare", {**PREP_DOC, "bloch_alpha": 1e200}),
+        ("scan", {**SCAN_DOC, "resource": {"model": "ideal", "alpha": 1e200}}),
+    ],
+    ids=["target", "truth", "bloch_alpha", "ideal_resource"],
+)
+def test_alpha_whose_square_overflows_exits_with_config_error(tmp_path, capsys, command, doc):
+    # |alpha|^2 is past the float range, and the truncation guard must not square it
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize(
     "command, doc, key",
     [
         ("prepare", {**PREP_DOC, "targets": [{"kind": "cat_minus", "alpha": -0.7}]},
@@ -624,8 +642,9 @@ WRITERS = {  # writer, a document it writes, and one it fails on
     "write_json": (write_json, {"a": 1.0}, {"a": object()}),
     "write_scan_csv": (lambda columns, path: write_scan_csv(*columns, path),
                        ([0.1], ["cat_minus"], [0.5]), ([0.2], [], [])),
-    "write_grid_csv": (write_grid_csv, WignerGrid(np.zeros(1), np.zeros(1), np.zeros((1, 1))),
-                       WignerGrid(np.zeros(1), np.zeros(1), [["text"]])),
+    "write_grid_csv": (lambda grid, path: write_grid_csv(*grid, path),
+                       (np.zeros(1), np.zeros(1), np.zeros((1, 1))),
+                       (np.zeros(1), np.zeros(1), [["text"]])),
     "write_records": (tomography.write_records, (np.zeros(2), np.ones(2)),
                       (np.zeros(2), np.ones(3))),
 }

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from catprep import files, tomography
 from catprep.cli import write_scan_csv
 from catprep.rsp import TARGET_KINDS
-from catprep.wigner import WignerGrid, write_grid_csv
+from catprep.wigner import write_grid_csv
 
 # every float, with -0.0, subnormals, the largest magnitudes and integers-as-floats drawn often
 FLOATS = st.one_of(
@@ -39,7 +39,7 @@ def test_grid_csv_bytes_match_csv_writer(tmp_path_factory, n_x, n_p, data):
     ps = data.draw(st.lists(FLOATS, min_size=n_p, max_size=n_p))
     values = [data.draw(st.lists(FLOATS, min_size=n_x, max_size=n_x)) for _ in range(n_p)]
     path = tmp_path_factory.mktemp("grid") / "wigner.csv"
-    write_grid_csv(WignerGrid(np.array(xs), np.array(ps), np.array(values).reshape(n_p, n_x)), path)
+    write_grid_csv(np.array(xs), np.array(ps), np.array(values).reshape(n_p, n_x), path)
     assert path.read_bytes() == csv_writer_bytes([["xs"] + xs, ["ps"] + ps] + values)
 
 
@@ -153,7 +153,8 @@ def test_writers_memory(tmp_path):
     # default 241 x 241 grid and 6.3 MB for 50 000 records
     rng = np.random.default_rng(7)
     axis = np.linspace(-6.0, 6.0, 241)
-    grid = WignerGrid(axis, axis.copy(), rng.standard_normal((241, 241)) * 0.05)
-    assert traced_peak(lambda: write_grid_csv(grid, tmp_path / "wigner.csv")) <= 4.4e6
+    values = rng.standard_normal((241, 241)) * 0.05
+    path = tmp_path / "wigner.csv"
+    assert traced_peak(lambda: write_grid_csv(axis, axis.copy(), values, path)) <= 4.4e6
     records = (rng.choice(np.arange(12) * np.pi / 12, 50_000), rng.standard_normal(50_000))
     assert traced_peak(lambda: tomography.write_records(records, tmp_path / "records.csv")) <= 6.3e6

@@ -9,7 +9,7 @@ from numpy.polynomial import hermite_e
 from scipy.stats import norm
 
 from catprep.channels import loss_channel
-from catprep.fock import MixedState, basis_state, fidelity, partial_trace
+from catprep.fock import MixedState, fidelity
 from catprep.homodyne import (
     PDF_BLOCK,
     Q_SUPPORT,
@@ -20,7 +20,7 @@ from catprep.homodyne import (
 )
 from catprep.states import ResourceParams, cat, coherent, cv_pair, hybrid_entangled, squeezed_vacuum
 from catprep.tomography import CDF_STEP, _phases
-from oracles import closed_form_state, loss_on_mode_a, quad_overlaps
+from oracles import basis_state, closed_form_state, loss_on_mode_a, partial_trace, quad_overlaps
 
 
 def random_density(dim, seed):

@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from catprep.fock import fidelity, mean_photon_number, partial_trace, purity
+from catprep.fock import fidelity, mean_photon_number, purity
 from catprep.states import (
     ResourceParams,
     cat,
     coherent,
     cv_pair,
-    effective_alpha,
     hybrid_entangled,
     photon_subtracted_sv,
     squeezed_vacuum,
     squeezing_parameter,
+    within_truncation,
 )
+from oracles import density, effective_alpha, partial_trace
 
 
 def quadrature_ops(dim):
@@ -26,7 +29,7 @@ def quadrature_ops(dim):
 
 
 def variance(state, op):
-    rho = state.density().mat
+    rho = density(state).mat
     mean = np.trace(rho @ op).real
     return np.trace(rho @ op @ op).real - mean**2
 
@@ -48,9 +51,25 @@ def test_coherent_rejects_insufficient_truncation():
         coherent(4.0, 30)  # |alpha|^2 = 16 > 30/4
 
 
+@given(dim=st.integers(1, 5000) | st.integers(1, 2**63 - 1), alpha=st.floats(),
+       ulps=st.none() | st.integers(-4, 4))
+@example(dim=12, alpha=1e308, ulps=None)
+def test_within_truncation_is_the_squared_guard(dim, alpha, ulps):
+    # the guard gives the verdict of |alpha|^2 < dim/4 wherever that does not overflow,
+    # also within a few ulps of the boundary, and False wherever it does
+    if ulps is not None:  # alpha a few ulps from the boundary sqrt(dim)/2
+        boundary = math.sqrt(dim) / 2
+        alpha = boundary + ulps * math.ulp(boundary)
+    try:
+        want = abs(alpha) ** 2 < dim / 4
+    except OverflowError:
+        want = False
+    assert within_truncation(alpha, dim) == want
+
+
 def test_coherent_quadrature_means():
     x, p = quadrature_ops(30)
-    rho = coherent(0.5 + 0.3j, 30).density().mat
+    rho = density(coherent(0.5 + 0.3j, 30)).mat
     assert np.isclose(np.trace(rho @ x).real, 1.0, atol=1e-10)  # 2 Re alpha
     assert np.isclose(np.trace(rho @ p).real, 0.6, atol=1e-10)  # 2 Im alpha
 
@@ -164,7 +183,7 @@ def test_hybrid_entangled_reduced_b_mixture():
     params = ResourceParams(model="ideal", alpha=0.7, weight_dv=0.5)
     joint = hybrid_entangled(params, dim_b=25)
     rb = partial_trace(joint, keep="b")
-    expected = 0.5 * cat(0.7, "odd", 25).density().mat + 0.5 * cat(0.7, "even", 25).density().mat
+    expected = 0.5 * density(cat(0.7, "odd", 25)).mat + 0.5 * density(cat(0.7, "even", 25)).mat
     assert np.allclose(rb.mat, expected, atol=1e-12)
     assert purity(rb) < 1.0
 

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catprep.channels import loss_channel
-from catprep.fock import MixedState, PureState, basis_state
+from catprep.fock import MixedState, PureState
 from catprep.homodyne import (
     Conditioning,
     condition,
@@ -17,12 +17,11 @@ from catprep.wigner import (
     CONVENTION_TAG,
     default_grid_axes,
     grid_metadata,
-    negativity_min,
     wigner_grid,
     wigner_origin,
     write_grid_csv,
 )
-from oracles import read_grid_csv, wigner_point, wigner_series_grid
+from oracles import basis_state, grid_integral, read_grid_csv, wigner_point, wigner_series_grid
 
 INV_2PI = 1 / (2 * np.pi)
 KERNEL_TOL = 1e-14  # the kernel's stated agreement with the Laguerre series
@@ -51,9 +50,9 @@ def test_vacuum_peak():
 
 def test_vacuum_is_gaussian():
     xs = np.linspace(-4, 4, 41)
-    grid = wigner_grid(basis_state(0, 10), xs, xs)
+    values = wigner_grid(basis_state(0, 10), xs, xs)
     expected = INV_2PI * np.exp(-(xs[None, :] ** 2 + xs[:, None] ** 2) / 2)
-    assert np.allclose(grid.values, expected, atol=1e-14)
+    assert np.allclose(values, expected, atol=1e-14)
 
 
 def test_parity_identity_at_origin():
@@ -78,16 +77,16 @@ def test_origin_from_parity_matches_kernel(dim, seed, pure):
     state = PureState(np.linalg.eigh(rho)[1][:, -1]) if pure else MixedState(rho)
     got = wigner_origin(state)
     assert np.isclose(got, wigner_point(state, 0.0, 0.0), rtol=0, atol=1e-15)
-    assert np.isclose(got, wigner_grid(state, [0.0], [0.0]).values[0, 0], rtol=0, atol=1e-15)
+    assert np.isclose(got, wigner_grid(state, [0.0], [0.0])[0, 0], rtol=0, atol=1e-15)
 
 
 def assert_grid_matches_points(rho, xs, ps):
     # the node spacing follows max|p| of the whole axis, so a grid and its points
     # differ in rounding; each must match the series to the kernel's tolerance
-    grid = wigner_grid(MixedState(rho), xs, ps)
+    values = wigner_grid(MixedState(rho), xs, ps)
     points = [[wigner_point(MixedState(rho), x, p) for x in xs] for p in ps]
     want = wigner_series_grid(rho, xs, ps)
-    assert np.abs(grid.values - want).max() <= KERNEL_TOL
+    assert np.abs(values - want).max() <= KERNEL_TOL
     assert np.abs(np.array(points) - want).max() <= KERNEL_TOL
 
 
@@ -122,7 +121,7 @@ def test_grid_equals_points_where_no_radius_repeats(dim, seed, xs, ps):
 def test_one_point_grid_equals_point(dim, seed, x, p):
     state = MixedState(random_density(dim, seed))
     got = wigner_point(state, x, p)
-    assert wigner_grid(state, [x], [p]).values[0, 0] == got  # the same call, bit for bit
+    assert wigner_grid(state, [x], [p])[0, 0] == got  # the same call, bit for bit
     assert abs(got - wigner_series_grid(state.mat, [x], [p])[0, 0]) <= KERNEL_TOL
 
 
@@ -137,7 +136,7 @@ def test_grid_matches_series_within_node_rule(dim, seed, pure, xs, ps):
     if pure:
         v = np.linalg.eigh(rho)[1][:, -1]
         rho = np.outer(v, v.conj())
-    got = wigner_grid(MixedState(rho), xs, ps).values
+    got = wigner_grid(MixedState(rho), xs, ps)
     assert np.abs(got - wigner_series_grid(rho, xs, ps)).max() <= KERNEL_TOL
 
 
@@ -161,10 +160,10 @@ def test_coherent_peak_location():
     assert wigner_point(s, x0 + 0.5, p0) < INV_2PI
     xs = np.linspace(x0 - 5, x0 + 5, 101)
     ps = np.linspace(p0 - 5, p0 + 5, 101)
-    grid = wigner_grid(s, xs, ps)
-    i, j = np.unravel_index(grid.values.argmax(), grid.values.shape)
-    assert np.isclose(grid.xs[j], x0, atol=0.1)
-    assert np.isclose(grid.ps[i], p0, atol=0.1)
+    values = wigner_grid(s, xs, ps)
+    i, j = np.unravel_index(values.argmax(), values.shape)
+    assert np.isclose(xs[j], x0, atol=0.1)
+    assert np.isclose(ps[i], p0, atol=0.1)
 
 
 def test_grid_integral_is_one():
@@ -178,7 +177,7 @@ def test_grid_integral_is_one():
     for state, cx, cp in cases:
         xs = np.linspace(cx - 6, cx + 6, 241)
         ps = np.linspace(cp - 6, cp + 6, 241)
-        assert np.isclose(wigner_grid(state, xs, ps).integral(), 1.0, atol=1e-6)
+        assert np.isclose(grid_integral(xs, ps, wigner_grid(state, xs, ps)), 1.0, atol=1e-6)
 
 
 def test_marginal_consistency():
@@ -186,8 +185,7 @@ def test_marginal_consistency():
     state = cat(0.7, "odd", 30)
     xs = np.linspace(-6, 6, 121)
     ps = np.linspace(-8, 8, 641)
-    grid = wigner_grid(state, xs, ps)
-    proj = np.trapezoid(grid.values, ps, axis=0)
+    proj = np.trapezoid(wigner_grid(state, xs, ps), ps, axis=0)
     assert np.allclose(proj, marginal_pdf(state, 0.0, xs), atol=1e-6)
 
 
@@ -220,14 +218,14 @@ def test_linearity_in_the_density_matrix():
 
 
 def test_single_photon_negativity():
-    grid = wigner_grid(basis_state(1, 10), *default_grid_axes())
-    assert np.isclose(negativity_min(grid), -INV_2PI, atol=1e-6)
+    values = wigner_grid(basis_state(1, 10), *default_grid_axes())
+    assert np.isclose(values.min(), -INV_2PI, atol=1e-6)
     assert np.isclose(wigner_point(basis_state(1, 10), 0.0, 0.0), -INV_2PI, atol=1e-14)
 
 
 def test_vacuum_never_negative():
-    grid = wigner_grid(basis_state(0, 10), *default_grid_axes())
-    assert negativity_min(grid) > -1e-15
+    values = wigner_grid(basis_state(0, 10), *default_grid_axes())
+    assert values.min() > -1e-15
 
 
 def test_odd_cat_origin_value():
@@ -238,8 +236,8 @@ def test_odd_cat_origin_value():
 
 def test_half_loss_erases_negativity():
     lossy = loss_channel(basis_state(1, 12), 0.5)
-    grid = wigner_grid(lossy, *default_grid_axes())
-    assert negativity_min(grid) > -1e-9
+    values = wigner_grid(lossy, *default_grid_axes())
+    assert values.min() > -1e-9
 
 
 def _table1_state(row, eta_a):
@@ -297,18 +295,18 @@ def test_default_grid_axes_refuses_a_step_that_does_not_divide():
 
 
 def test_grid_csv_round_trip(tmp_path):
-    grid = wigner_grid(cat(0.7, "even", 25), np.linspace(-3, 3, 31), np.linspace(-2, 2, 21))
+    xs, ps = np.linspace(-3, 3, 31), np.linspace(-2, 2, 21)
+    values = wigner_grid(cat(0.7, "even", 25), xs, ps)
     path = tmp_path / "w.csv"
-    write_grid_csv(grid, path)
-    back = read_grid_csv(path)
-    assert np.array_equal(back.xs, grid.xs)
-    assert np.array_equal(back.ps, grid.ps)
-    assert np.array_equal(back.values, grid.values)
+    write_grid_csv(xs, ps, values, path)
+    back_xs, back_ps, back_values = read_grid_csv(path)
+    assert np.array_equal(back_xs, xs)
+    assert np.array_equal(back_ps, ps)
+    assert np.array_equal(back_values, values)
 
 
 def test_grid_metadata_fields():
-    grid = wigner_grid(basis_state(0, 8), np.linspace(-1, 1, 11), np.linspace(-2, 2, 21))
-    meta = grid_metadata(grid, 8, "vacuum")
+    meta = grid_metadata(np.linspace(-1, 1, 11), np.linspace(-2, 2, 21), 8, "vacuum")
     assert meta["convention"] == CONVENTION_TAG
     assert meta["dim"] == 8
     assert meta["state"] == "vacuum"
