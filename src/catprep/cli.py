@@ -23,7 +23,7 @@ import numpy as np
 
 from .files import replacing, write_csv
 from .fock import fidelity, mean_photon_number, purity
-from .homodyne import Conditioning, condition
+from .homodyne import WINDOW_MAX, Conditioning, condition
 from .rsp import (
     DEFAULT_TARGETS,
     TABLE1,
@@ -108,7 +108,8 @@ def _parse_grid(node, name: str) -> np.ndarray:
             if num > np.iinfo(np.intp).max // 8:  # more bytes than an array can address
                 raise ConfigError(f"num {num} is more values than a float64 array can hold")
             grid = np.linspace(_float(node, "start", None), _float(node, "stop", None), num)
-        except (ValueError, MemoryError) as exc:  # a bad key or num, or one numpy cannot allocate
+        except (ValueError, ArithmeticError, MemoryError) as exc:
+            # a bad key or num, a step past the float range, or an array numpy cannot allocate
             raise ConfigError(f"{name}: {exc}") from exc
     else:
         raise ConfigError(f"{name}: need start/stop/num or a list")
@@ -116,7 +117,7 @@ def _parse_grid(node, name: str) -> np.ndarray:
         raise ConfigError(f"{name}: grid is empty")
     if not np.isfinite(grid).all():
         raise ConfigError(f"{name}: grid values must be finite")
-    if np.any(np.diff(grid) < 0):
+    if np.any(grid[1:] < grid[:-1]):  # no difference, which can overflow
         raise ConfigError(f"{name}: grid must be sorted ascending")
     return grid
 
@@ -224,8 +225,8 @@ def cmd_scan(cfg: dict):
     delta_grid = _parse_grid(
         cfg.get("delta_grid_snu", {"start": 0.0, "stop": 0.5, "num": 26}), "delta_grid_snu"
     )
-    if delta_grid[0] < 0:
-        raise ConfigError("delta_grid_snu: widths must be nonnegative")
+    if not (delta_grid[0] >= 0 and delta_grid[-1] <= WINDOW_MAX):
+        raise ConfigError(f"delta_grid_snu: widths must lie in [0, {WINDOW_MAX:g}]")
     delta_scan = _section(cfg, "delta_scan", {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}})
     delta_q = _float(delta_scan, "q_center_snu", 0.0)
     delta_target = _parse_target(delta_scan.get("target", {}), params.alpha, dim)
@@ -438,25 +439,28 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
 
-    # a fault in the config, the --out directory or the parse step exits 2, before any write
+    # a fault in the config, the --out directory or the parse step exits 2, before any
+    # write; floating-point overflow, division by zero and invalid operations raise
+    # instead of warning, so that each failure prints one line
     out_dir = Path(args.out)
-    try:
-        cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None:  # tomo's --seed overrides the config
-            cfg["seed"] = args.seed
-        out_dir.mkdir(parents=True, exist_ok=True)
-        run = {"scan": cmd_scan, "prepare": cmd_prepare, "tomo": cmd_tomo}[args.command](cfg)
-    except (ConfigError, TypeError, ValueError, OSError, MemoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run(out_dir)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:  # an output file that cannot be written
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            cfg = load_config(args.config)
+            if getattr(args, "seed", None) is not None:  # tomo's --seed overrides the config
+                cfg["seed"] = args.seed
+            out_dir.mkdir(parents=True, exist_ok=True)
+            run = {"scan": cmd_scan, "prepare": cmd_prepare, "tomo": cmd_tomo}[args.command](cfg)
+        except (ConfigError, TypeError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        try:
+            run(out_dir)
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except OSError as exc:  # an output file that cannot be written
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_OUTPUT
     return EXIT_OK
 
 

@@ -7,9 +7,10 @@ Conventions used across the package:
     fidelity      F(rho, |t>) = <t| rho |t>   (no square root)
 
 States are dense numpy arrays in the number basis, truncated at ``dim``.
-Constructors validate their invariants (normalization, Hermiticity,
-positivity) and raise ValueError on violation, so downstream code can
-assume well-formed inputs.
+Constructors validate their invariants and raise ValueError on violation:
+normalization, Hermiticity and, for MixedState, positivity. TwoModeState
+checks Hermiticity and unit trace but not positivity; the scans in rsp check
+a resource's positivity before they herald from it.
 """
 
 from __future__ import annotations

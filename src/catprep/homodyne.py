@@ -21,6 +21,7 @@ from .fock import MixedState, TwoModeState, _as_density
 
 Q_SUPPORT = 10.0  # marginals of states in this package are negligible beyond |q| = 10
 WINDOW_NODES = 21  # Gauss-Legendre nodes across an acceptance window
+WINDOW_MAX = 7.0  # widest window, snu, that WINDOW_NODES integrate to rounding
 TAIL_NODES = 160  # Gauss-Legendre nodes on each side of a two-sided tail
 MIN_SUCCESS = np.finfo(float).tiny  # smaller acceptance probabilities overflow when divided by
 PDF_BLOCK = 2**17  # elements (1 MiB) of one product in marginal_pdf, which bounds its memory
@@ -104,7 +105,7 @@ class Conditioning:
 
     theta_rad : local-oscillator phase
     q_center  : window center, or the tail's threshold, shot-noise units
-    delta     : window width; 0 selects the point-projection limit
+    delta     : window width, at most WINDOW_MAX; 0 selects the point-projection limit
     eta_a     : transmission of the conditioning path before the homodyne
     tail      : accept |q| >= q_center out to Q_SUPPORT instead; delta is unused
     """
@@ -116,8 +117,8 @@ class Conditioning:
     tail: bool = False
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta <= WINDOW_MAX:  # NaN fails too
+            raise ValueError(f"delta must lie in [0, {WINDOW_MAX:g}] snu")
         if not 0.0 <= self.eta_a <= 1.0:
             raise ValueError("eta_a must lie in [0, 1]")
         if not isinstance(self.tail, bool):
@@ -175,26 +176,31 @@ def acceptance_operator(dim: int, nodes, weights, theta: float, eta=1.0) -> np.n
     return loss_adjoint(op, eta)
 
 
-def conditioning_operator(dim: int, c: Conditioning) -> np.ndarray:
-    """Acceptance operator of a heralding setting with its loss eta_a: the tail with
-    TAIL_NODES Gauss-Legendre nodes a side, a point projection at delta = 0, else a
-    WINDOW_NODES-point window (exact at working precision for these integrands)."""
-    if c.tail:
-        nodes, weights = gauss_legendre([c.q_center, -Q_SUPPORT], [Q_SUPPORT, -c.q_center],
+def conditioning_operator(dim: int, theta: float, q_center, delta=0.0, eta=1.0,
+                          tail: bool = False) -> np.ndarray:
+    """Acceptance operator of a heralding setting with its loss eta: the tail |q| >=
+    q_center (TAIL_NODES Gauss-Legendre nodes a side), a point projection at delta = 0,
+    or a WINDOW_NODES-point window, exact to rounding up to width WINDOW_MAX. Without a
+    tail, q_center, delta and eta broadcast to a grid of operators (*grid, dim, dim)."""
+    if tail:
+        nodes, weights = gauss_legendre([q_center, -Q_SUPPORT], [Q_SUPPORT, -q_center],
                                         TAIL_NODES)
-        nodes, weights = nodes.ravel(), weights.ravel()
-    elif c.delta == 0.0:
-        nodes, weights = np.array([c.q_center]), np.ones(1)
-    else:
-        nodes, weights = gauss_legendre(-c.delta / 2, c.delta / 2, WINDOW_NODES)
-        nodes = nodes + c.q_center  # centered, so no width is lost to rounding at q_center
-    return acceptance_operator(dim, nodes, weights, c.theta_rad, c.eta_a)
+        return acceptance_operator(dim, nodes.ravel(), weights.ravel(), theta, eta)
+    q, delta, etas = np.broadcast_arrays(q_center, delta, eta)
+    if not np.all((delta >= 0) & (delta <= WINDOW_MAX)):  # NaN fails too
+        raise ValueError(f"window widths must lie in [0, {WINDOW_MAX:g}] snu")
+    ops = acceptance_operator(dim, q[..., None], np.ones(1), theta, eta)  # one node a point
+    w = delta > 0
+    if w.any():  # windows, centered so that no width is lost to rounding at q_center
+        nodes, weights = gauss_legendre(-delta[w] / 2, delta[w] / 2, WINDOW_NODES)
+        ops[w] = acceptance_operator(dim, nodes + q[w, None], weights, theta, etas[w])
+    return ops
 
 
 def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
     """Mode B given that the homodyne on mode A accepted its outcome: rho_B
     proportional to Tr_A[(E x 1) rho_AB], E the conditioning operator with its loss."""
-    op = conditioning_operator(resource.dim_a, c)
+    op = conditioning_operator(resource.dim_a, c.theta_rad, c.q_center, c.delta, c.eta_a, c.tail)
     r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
     raw = np.einsum("ca,abcd->bd", op, r4)
     success = float(np.real(np.trace(raw)))

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import EIG_TOL, PureState, TwoModeState, _as_density, purity
-from .homodyne import MIN_SUCCESS, WINDOW_NODES, Conditioning, acceptance_operator
-from .homodyne import conditioning_operator, gauss_legendre
+from .homodyne import MIN_SUCCESS, conditioning_operator
 from .states import cat, coherent
 
 BASE_HERALD_RATE_HZ = 200_000.0  # entanglement heralding rate of the source
@@ -46,9 +45,13 @@ class TargetSpec:
         if self.alpha <= 0:
             raise ValueError("target alpha must be positive")
         if self.kind == "custom":
-            norm = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
-            if not np.isclose(norm, 1.0, atol=1e-9):
-                raise ValueError("custom coefficients must be normalized")
+            c_plus, c_minus = self.c_plus, self.c_minus
+            parts = (c_plus.real, c_plus.imag, c_minus.real, c_minus.imag)
+            # parts above 1 are refused before any square can overflow; NaN fails too
+            if not (all(abs(x) <= 1 for x in parts)
+                    and np.isclose(abs(c_plus) ** 2 + abs(c_minus) ** 2, 1.0, atol=1e-9)):
+                raise ValueError(f"custom coefficients c_plus = {c_plus}, c_minus = {c_minus} "
+                                 "must be normalized")
 
 
 def target_state(spec: TargetSpec, dim: int) -> PureState:
@@ -124,30 +127,23 @@ def _scan(resource: TwoModeState, ops, targets) -> np.ndarray:
 
 def fidelity_vs_q(resource: TwoModeState, theta_rad: float, q_grid, targets) -> np.ndarray:
     """Point-conditioned fidelity F[i, k] at q_grid[i] to targets[k]."""
-    q = np.asarray(q_grid, dtype=float)
-    ops = acceptance_operator(resource.dim_a, q[:, None], np.ones(1), theta_rad)
-    return _scan(resource, ops, targets)
+    return _scan(resource, conditioning_operator(resource.dim_a, theta_rad, q_grid), targets)
 
 
 def fidelity_vs_eta(resource: TwoModeState, q: float, theta_rad: float, eta_grid,
                     target: TargetSpec) -> np.ndarray:
     """Point-conditioned fidelity at each heralding-path efficiency of eta_grid."""
-    etas = np.asarray(eta_grid, dtype=float)
-    ops = acceptance_operator(resource.dim_a, np.full((etas.size, 1), q), np.ones(1),
-                              theta_rad, etas)
-    return _scan(resource, ops, [target])[:, 0]
+    return _scan(resource, conditioning_operator(resource.dim_a, theta_rad, q, eta=eta_grid),
+                 [target])[:, 0]
 
 
 def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_grid,
                       target: TargetSpec) -> np.ndarray:
     """Window-conditioned fidelity at each acceptance width of delta_grid; a zero
-    width is the point projection, and a negative one raises ValueError."""
-    deltas = np.asarray(delta_grid, dtype=float)
-    nodes, weights = gauss_legendre(-deltas / 2, deltas / 2, WINDOW_NODES)
-    windows = acceptance_operator(resource.dim_a, nodes + q, weights, theta_rad)
-    point = conditioning_operator(resource.dim_a, Conditioning(theta_rad, q, 0.0))
-    ops = np.where((deltas == 0.0)[:, None, None], point, windows)
-    return _scan(resource, ops, [target])[:, 0]
+    width is the point projection, and a negative one or one above
+    homodyne.WINDOW_MAX raises ValueError."""
+    return _scan(resource, conditioning_operator(resource.dim_a, theta_rad, q, delta_grid),
+                 [target])[:, 0]
 
 
 @dataclass

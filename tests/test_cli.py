@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import itertools
 import json
 import math
@@ -8,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from catprep.cli import (
     write_json,
     write_scan_csv,
 )
+from catprep.homodyne import WINDOW_MAX
 from catprep.rsp import TargetSpec, fidelity_vs_q
 from catprep.states import ResourceParams, cat, hybrid_entangled
 from catprep.wigner import write_grid_csv
@@ -358,6 +362,68 @@ def with_leaf(doc, path, value):
     return doc
 
 
+RESOURCE = {"model": "experimental", "alpha": 0.7, "squeezing_db": 3.0, "weight_dv": 0.5}
+CUSTOM = {"kind": "custom", "alpha": 0.7, "c_plus": [0.6, 0.0], "c_minus": [0.0, 0.8]}
+FUZZ_TEMPLATES = (  # each subcommand at dim 12 with small grids and every optional key set
+    ("scan", {
+        "dim": 12, "resource": RESOURCE, "theta_rad": 0.0,
+        "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 3},
+        "targets": [{"kind": "cat_minus", "alpha": 0.7}, CUSTOM],
+        "eta_grid": [0.8, 1.0],
+        "eta_scan": [{"q_center_snu": 0.0, "target": {"kind": "cat_minus", "alpha": 0.7}}],
+        "delta_grid_snu": [0.0, 0.2],
+        "delta_scan": {"q_center_snu": 0.0, "target": CUSTOM},
+    }),
+    ("prepare", {
+        "dim": 12, "resource": RESOURCE, "table1_row": None,
+        "conditioning": {"theta_rad": 0.0, "q_center_snu": 0.5, "delta_snu": 0.2, "eta_a": 0.9,
+                         "tail": False},
+        "bloch_alpha": 0.7,
+        "wigner": {"min_snu": -1.0, "max_snu": 1.0, "step_snu": 0.5},
+        "targets": [{"kind": "cat_minus", "alpha": 0.7}, CUSTOM],
+    }),
+    ("tomo", {
+        "dim": 12, "resource": RESOURCE, "truth": CUSTOM, "n_samples": 200, "eta": 0.9, "seed": 1,
+        "tomo": {"dim_recon": 4, "eta_correction": 0.9, "bin_width_snu": 0.5, "n_phases": 4},
+    }),
+)
+# values out of type, out of range and past the float and 64-bit ranges; none makes a
+# config that allocates much
+FUZZ_VALUES = (None, "x", [], {}, 0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1e-300, 2**63, -2**63,
+               2**70, True, False, 0, 1, 2, 7)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A template with one to three of its leaves, pair and grid elements included,
+    replaced by values from FUZZ_VALUES."""
+    command, doc = draw(st.sampled_from(FUZZ_TEMPLATES))
+    for path in draw(st.lists(st.sampled_from(leaf_paths(doc)), min_size=1, max_size=3,
+                              unique=True)):
+        doc = with_leaf(doc, path, draw(st.sampled_from(FUZZ_VALUES)))
+    return command, doc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(fuzzed_configs())
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, command_doc):
+    # every config exits 0 to 3 without a traceback or a warning, with at most one
+    # line on stderr (none on success), and a config error writes no file
+    command, doc = command_doc
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg, out = write_config(base, "cfg.json", doc), base / "out"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run([command, "--config", cfg, "--out", out])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (EXIT_OK, EXIT_OUTPUT, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert len(lines) <= (0 if code == EXIT_OK else 1), lines
+    if code == EXIT_CONFIG:
+        assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["scan", "prepare", "tomo"])
 def test_readme_config_examples_run(tmp_path, command):
     docs = [doc for c, doc in README_CONFIGS if c == command]
@@ -536,6 +602,64 @@ def test_alpha_whose_square_overflows_exits_with_config_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "c_plus, c_minus",
+    [([1e200, 0.0], [0.0, 0.0]), ([1e308, 1e308], [0.0, 0.0]), ([0.0, 0.0], [0.0, -1e200])],
+    ids=["square_overflows", "modulus_overflows", "c_minus"],
+)
+def test_custom_coefficients_past_one_exit_with_config_error(tmp_path, capsys, c_plus, c_minus):
+    # |c|^2 is past the float range, and the normalization check must not square it
+    doc = {"dim": 12, "targets": [{"kind": "custom", "c_plus": c_plus, "c_minus": c_minus}]}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run(["scan", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: custom coefficients") and err.count("\n") == 1
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, text",
+    [
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1e308, "stop": 1e308, "num": 5}},
+         EXIT_CONFIG, "config error: q_grid_snu: overflow"),
+        ("prepare", {**PREP_DOC, "conditioning": {"q_center_snu": 1e308}},
+         EXIT_NUMERICAL, "numerical failure: overflow"),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [0.0, 1e308]},
+         EXIT_CONFIG, "config error: delta_grid_snu"),
+        ("scan", {**SCAN_DOC, "resource": {"squeezing_db": -1e308}},
+         EXIT_NUMERICAL, "numerical failure: divide by zero"),
+    ],
+    ids=["q_grid_span", "q_center", "delta_grid", "squeezing_db"],
+)
+def test_floating_point_faults_print_one_line_and_no_warning(tmp_path, capsys, command, doc,
+                                                             code, text):
+    # numpy's overflow, division and invalid warnings would print two more lines
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == code
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith(text) and err.count("\n") == 1
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_window_width_bound_is_inclusive(tmp_path):
+    # a window exactly WINDOW_MAX wide runs, and one a float wider is refused
+    past = float(np.nextafter(WINDOW_MAX, np.inf))
+    for command, doc, code in [
+        ("prepare", {**PREP_DOC, "conditioning": {"delta_snu": WINDOW_MAX}}, EXIT_OK),
+        ("prepare", {**PREP_DOC, "conditioning": {"delta_snu": past}}, EXIT_CONFIG),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [0.0, WINDOW_MAX]}, EXIT_OK),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [0.0, past]}, EXIT_CONFIG),
+    ]:
+        cfg = write_config(tmp_path, "cfg.json", doc)
+        out = tmp_path / f"{command}_{code}"
+        assert run([command, "--config", cfg, "--out", out]) == code
+    state = json.loads((tmp_path / "prepare_0" / "state.json").read_text())
+    assert 0.9 < state["success_prob"] < 1.0  # P(|q| <= 3.5) of the heralding marginal
+
+
+@pytest.mark.parametrize(
     "command, doc, key",
     [
         ("prepare", {**PREP_DOC, "targets": [{"kind": "cat_minus", "alpha": -0.7}]},
@@ -558,12 +682,22 @@ def test_alpha_whose_square_overflows_exits_with_config_error(tmp_path, capsys, 
          "more values than a float64 array can hold"),
         ("prepare", {**PREP_DOC, "wigner": {"min_snu": -4.0, "max_snu": 4.0, "step_snu": 1e-17}},
          "wigner step_snu 1e-17: Unable to allocate"),
+        # WINDOW_NODES nodes integrate a window only up to WINDOW_MAX wide: a 40 snu
+        # window at q = 0 reported success_prob 0.74, where every outcome is accepted
+        ("prepare", {**PREP_DOC, "conditioning": {"delta_snu": 40.0}}, "delta must lie in [0, 7]"),
+        ("prepare", {**PREP_DOC, "table1_row": 2, "conditioning": {"delta_snu": 100.0}},
+         "delta must lie in [0, 7]"),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": [0.0, 0.2, 7.5]},
+         "delta_grid_snu: widths must lie in [0, 7]"),
+        ("scan", {**SCAN_DOC, "delta_grid_snu": {"start": 0.0, "stop": 10.0, "num": 3}},
+         "delta_grid_snu: widths must lie in [0, 7]"),
     ],
     ids=["target_alpha_negative", "wigner_step_zero", "wigner_step_not_dividing", "n_phases_zero",
          "n_phases_below_dim_recon",
          "custom_coefficient_not_a_pair", "bin_width_infinite_count", "dim_past_64_bits",
          "q_grid_num_unsizable", "eta_grid_num_past_array_bytes", "wigner_step_unsizable",
-         "wigner_step_unallocatable"],
+         "wigner_step_unallocatable", "delta_40", "row_delta_100",
+         "delta_grid_list_past_bound", "delta_grid_range_past_bound"],
 )
 def test_config_error_names_the_key(tmp_path, capsys, command, doc, key):
     # library messages reach the user unwrapped, so they must name the key themselves

@@ -13,8 +13,13 @@ from catprep.fock import MixedState, fidelity
 from catprep.homodyne import (
     PDF_BLOCK,
     Q_SUPPORT,
+    WINDOW_MAX,
+    WINDOW_NODES,
     Conditioning,
+    acceptance_operator,
     condition,
+    conditioning_operator,
+    gauss_legendre,
     marginal_pdf,
     quad_wavefunctions,
 )
@@ -178,6 +183,56 @@ def test_conditioning_validation():
         Conditioning(delta=-0.1)
     with pytest.raises(ValueError):
         Conditioning(eta_a=1.3)
+    Conditioning(delta=WINDOW_MAX)
+    for delta in (np.nextafter(WINDOW_MAX, np.inf), 40.0, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            Conditioning(delta=delta)
+        with pytest.raises(ValueError):
+            conditioning_operator(2, 0.0, 0.0, [0.0, 0.2, delta])
+
+
+def _window_error(dim, q_center, delta, window):
+    """Largest entry of window's difference from the operator of a 400-node rule,
+    which integrates these Gaussian-times-polynomial integrands to rounding."""
+    nodes, weights = gauss_legendre(-delta / 2, delta / 2, 400)
+    return np.abs(window - acceptance_operator(dim, nodes + q_center, weights, 0.0)).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])  # the heralding mode holds at most two photons
+@pytest.mark.parametrize("q_center", [0.0, 3.0])
+def test_window_rule_is_exact_up_to_the_width_bound(dim, q_center):
+    window = conditioning_operator(dim, 0.0, q_center, WINDOW_MAX)
+    assert _window_error(dim, q_center, WINDOW_MAX, window) <= 1e-13
+    # wider, the same rule drifts: by 1e-11 to 5e-9 at 10 snu, and by 0.7 at 40
+    nodes, weights = gauss_legendre(-5.0, 5.0, WINDOW_NODES)
+    window = acceptance_operator(dim, nodes + q_center, weights, 0.0)
+    assert _window_error(dim, q_center, 10.0, window) > 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3, 6]),
+    theta=st.floats(0.0, 2 * np.pi),
+    q=st.floats(-4.0, 4.0),
+    eta=st.floats(0.0, 1.0),
+    qs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+    etas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    deltas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, WINDOW_MAX)), min_size=1, max_size=5),
+)
+@example(dim=2, theta=0.0, q=0.0, eta=1.0, qs=[-0.0, 0.0], etas=[0.0, 1.0], deltas=[0.0, 0.2, 0.0])
+def test_broadcast_conditioning_operator_equals_scalar_calls(dim, theta, q, eta, qs, etas,
+                                                             deltas):
+    # a grid of points, of losses, or of widths that mixes zero with windows gives
+    # exactly the operators of one call per point
+    def each(grid, make):
+        return np.stack([make(value) for value in grid])
+
+    assert np.array_equal(conditioning_operator(dim, theta, qs, eta=eta),
+                          each(qs, lambda v: conditioning_operator(dim, theta, v, eta=eta)))
+    assert np.array_equal(conditioning_operator(dim, theta, q, eta=etas),
+                          each(etas, lambda v: conditioning_operator(dim, theta, q, eta=v)))
+    assert np.array_equal(conditioning_operator(dim, theta, q, deltas, eta),
+                          each(deltas, lambda v: conditioning_operator(dim, theta, q, v, eta)))
 
 
 def _check_acceptance_oracle(q_center, delta, eta, w, tail):

@@ -62,6 +62,10 @@ def test_custom_target_requires_normalized_coefficients():
         TargetSpec("custom", c_plus=0.9, c_minus=0.9)
     with pytest.raises(ValueError):
         TargetSpec("something_else")
+    # a part above 1 is refused before |c|^2 is formed, which overflows here
+    for c_plus, c_minus in [(1e200, 0), (complex(1e308, 1e308), 0), (0, 1e200j)]:
+        with pytest.raises(ValueError, match="c_plus = .* c_minus = .* must be normalized"):
+            TargetSpec("custom", c_plus=c_plus, c_minus=c_minus)
 
 
 def test_published_table_contents():
@@ -189,8 +193,10 @@ def test_scans_reject_non_psd_resource(scan):
         lambda res: fidelity_vs_q(res, 0.0, [0.0, np.nan], [TargetSpec("cat_minus")]),
         lambda res: fidelity_vs_eta(res, 0.5, 0.0, [np.nan, 1.0], TargetSpec("cat_minus")),
         lambda res: fidelity_vs_delta(res, 0.5, 0.0, [0.0, np.nan], TargetSpec("cat_minus")),
+        lambda res: fidelity_vs_delta(res, 0.5, 0.0, [-0.1, 0.2], TargetSpec("cat_minus")),
+        lambda res: fidelity_vs_delta(res, 0.5, 0.0, [0.2, 10.0], TargetSpec("cat_minus")),
     ],
-    ids=["q", "eta", "delta"],
+    ids=["q", "eta", "delta", "delta_negative", "delta_past_window_max"],
 )
 def test_scans_reject_nan_settings(scan):
     with pytest.raises(ValueError):
