@@ -183,6 +183,8 @@ def conditioning_operator(dim: int, theta: float, q_center, delta=0.0, eta=1.0,
     or a WINDOW_NODES-point window, exact to rounding up to width WINDOW_MAX. Without a
     tail, q_center, delta and eta broadcast to a grid of operators (*grid, dim, dim)."""
     if tail:
+        if not 0.0 <= q_center < Q_SUPPORT:  # NaN fails too
+            raise ValueError(f"a tail needs 0 <= q_center < {Q_SUPPORT:g}")
         nodes, weights = gauss_legendre([q_center, -Q_SUPPORT], [Q_SUPPORT, -q_center],
                                         TAIL_NODES)
         return acceptance_operator(dim, nodes.ravel(), weights.ravel(), theta, eta)

@@ -67,6 +67,20 @@ def test_records_csv_bytes_match_csv_writer(tmp_path_factory, pairs):
 
 
 
+def test_records_with_few_distinct_thetas_match_csv_writer(tmp_path):
+    # thetas from a small pool, each formatted once: zeros of both signs, two NaN
+    # payloads and the 12 phases, over more rows than one FORMAT_BLOCK holds
+    nan2 = np.array(0x7FF8000000000123, np.int64).view(float)
+    pool = np.array([0.0, -0.0, np.nan, nan2, *(np.arange(12) * np.pi / 12)])
+    rng = np.random.default_rng(3)
+    n = 3 * files.FORMAT_BLOCK // 2 + 7
+    thetas, qs = rng.permutation(np.resize(pool, n)), rng.standard_normal(n)
+    path = tmp_path / "records.csv"
+    tomography.write_records((thetas, qs), path)
+    rows = [["theta_rad", "q"]] + list(zip(thetas.tolist(), qs.tolist()))
+    assert path.read_bytes() == csv_writer_bytes(rows)
+
+
 def sample_values(kind: str, seed: int, size: int) -> np.ndarray:
     """size floats of one kind, both signs; every kind reaches the % fallback somewhere."""
     rng = np.random.default_rng(seed)

@@ -189,6 +189,9 @@ def test_conditioning_validation():
             Conditioning(delta=delta)
         with pytest.raises(ValueError):
             conditioning_operator(2, 0.0, 0.0, [0.0, 0.2, delta])
+    for q_center in (12.0, -1.0, np.nan):  # off-POVM or NaN operators if unchecked
+        with pytest.raises(ValueError, match="a tail needs"):
+            conditioning_operator(4, 0.0, q_center, tail=True)
 
 
 def _window_error(dim, q_center, delta, window):

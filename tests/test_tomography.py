@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catprep import tomography
 from catprep.fock import MixedState, fidelity
 from catprep.channels import loss_channel
 from catprep.homodyne import Q_SUPPORT, acceptance_operator, gauss_legendre, marginal_pdf
-from catprep.rsp import TargetSpec, target_state
+from catprep.rsp import TARGET_KINDS, TargetSpec, target_state
 from catprep.states import cat
 from catprep.tomography import (
     GAIN_TOL,
@@ -104,11 +104,34 @@ def sample_homodyne_by_masks(state, n_phases, n_samples, eta, seed):
 
 @pytest.mark.parametrize("n_phases, n_samples", [(12, 3000), (1, 50), (5, 1)])
 def test_sampler_fills_each_phase_as_masks_do(n_phases, n_samples):
-    # each phase's draws come from one slice of a stable argsort, in stream order,
-    # and each theta is exactly pi k / n_phases, the equally spaced phase k
+    # each phase's draws come from one slice of a sort by phase, ascending in u within
+    # it, and each theta is exactly pi k / n_phases, the equally spaced phase k
     state = cat(0.7, "odd", 20)
     got = sample_homodyne(state, n_phases, n_samples, eta=0.85, seed=9)
     want = sample_homodyne_by_masks(state, n_phases, n_samples, 0.85, 9)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(truth=st.integers(20, 40).flatmap(lambda dim: st.tuples(  # |alpha|^2 below dim / 4
+           st.sampled_from([k for k in TARGET_KINDS if k != "custom"]),
+           st.floats(0.3, 0.99 * np.sqrt(dim) / 2), st.just(dim), st.floats(0.5, 1.0))),
+       n_phases=st.integers(1, 14), n_samples=st.integers(1, 60_000),
+       seed=st.integers(0, 2**32 - 1))
+# five truths, (kind, alpha, dim, eta), on which the sorted draws were checked against
+# the stream-order sampler over sampling seeds 0 to 5
+@example(truth=("cat_minus", 0.7, 30, 0.85), n_phases=12, n_samples=50_000, seed=0)
+@example(truth=("cat_plus", 2.7, 30, 1.0), n_phases=12, n_samples=50_000, seed=1)
+@example(truth=("coherent_plus", 3.15, 40, 0.5), n_phases=12, n_samples=50_000, seed=2)
+@example(truth=("phase_cat_plus", 3.15, 40, 0.9), n_phases=12, n_samples=50_000, seed=3)
+@example(truth=("cat_minus", 1.5, 30, 0.7), n_phases=12, n_samples=50_000, seed=4)
+def test_sorted_draws_equal_the_masks_sampler_bit_for_bit(truth, n_phases, n_samples, seed):
+    # np.interp finds each point's bracket of the CDF table on its own, so the order in
+    # which a phase's uniforms reach it changes no value
+    kind, alpha, dim, eta = truth
+    state = target_state(TargetSpec(kind, alpha), dim)
+    got = sample_homodyne(state, n_phases, n_samples, eta=eta, seed=seed)
+    want = sample_homodyne_by_masks(state, n_phases, n_samples, eta, seed)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
