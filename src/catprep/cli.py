@@ -7,14 +7,16 @@ prevent convention drift. CSV floats are written as "%.17g" writes them, and
 JSON floats as json.dumps writes them, the shortest text that reads back as the
 same float. No timestamps are written, so reruns are byte-identical.
 
-Each subcommand parses its config into the library's objects before it computes,
-and only main maps errors to exit codes: 0 success, 1 output error, 2 config error,
-3 numerical failure.
+Each subcommand parses its config into the library's objects before it computes.
+An object that holds a dataclass's settings is built from its fields, one key per
+field, and a key that nothing reads is refused. Only main maps errors to exit codes:
+0 success, 1 output error, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,7 +27,6 @@ from .files import replacing, write_csv
 from .fock import fidelity, mean_photon_number, purity
 from .homodyne import WINDOW_MAX, Conditioning, condition
 from .rsp import (
-    DEFAULT_TARGETS,
     TABLE1,
     Table1Row,
     TargetSpec,
@@ -101,13 +102,14 @@ def load_config(path) -> dict:
 def _parse_grid(node, name: str) -> np.ndarray:
     """A non-empty ascending grid: a flat list of finite numbers, or start/stop/num."""
     if isinstance(node, list):
-        grid = np.array([_float({name: v}, name, None) for v in node])
+        grid = np.array([_float({name: v}, name) for v in node])
     elif isinstance(node, dict):
+        _object(node, name, ("start", "stop", "num"))
         try:
-            num = _int(node, "num", None)
+            num = _int(node, "num")
             if num > np.iinfo(np.intp).max // 8:  # more bytes than an array can address
                 raise ConfigError(f"num {num} is more values than a float64 array can hold")
-            grid = np.linspace(_float(node, "start", None), _float(node, "stop", None), num)
+            grid = np.linspace(_float(node, "start"), _float(node, "stop"), num)
         except (ValueError, ArithmeticError, MemoryError) as exc:
             # a bad key or num, a step past the float range, or an array numpy cannot allocate
             raise ConfigError(f"{name}: {exc}") from exc
@@ -122,15 +124,17 @@ def _parse_grid(node, name: str) -> np.ndarray:
     return grid
 
 
-def _section(node: dict, key: str, default=None) -> dict:
-    """The object under key, or the default (an empty object) when absent."""
-    value = node.get(key, {} if default is None else default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: need an object")
-    return value
+def _object(node, name: str, keys) -> dict:
+    """node, a JSON object whose keys are all among keys; name says where it sits."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name}: need an object")
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"{name} reads only {', '.join(keys)}, not {key!r}")
+    return node
 
 
-def _int(node: dict, key: str, default: int | None) -> int:
+def _int(node: dict, key: str, default: int | None = None) -> int:
     """A JSON integer within 64 bits; bools and numbers with a fraction are refused."""
     value = node.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -140,7 +144,7 @@ def _int(node: dict, key: str, default: int | None) -> int:
     return value
 
 
-def _float(node: dict, key: str, default: float | None) -> float:
+def _float(node: dict, key: str, default: float | None = None) -> float:
     """A finite JSON number; bools, text, NaN, Infinity and out-of-range integers are refused."""
     value = node.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -151,11 +155,25 @@ def _float(node: dict, key: str, default: float | None) -> float:
 
 
 def _complex(node: dict, key: str) -> complex:
-    """A [re, im] pair of finite numbers; 0 when absent."""
-    pair = node.get(key, [0.0, 0.0])
+    """A [re, im] pair of finite numbers."""
+    pair = node[key]
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{key}: need a [re, im] pair")
-    return complex(*(_float({key: v}, key, None) for v in pair))
+    return complex(*(_float({key: v}, key) for v in pair))
+
+
+# the reader of each field type of the dataclasses a config builds; those check
+# their str and bool fields themselves
+_READERS = {"int": _int, "float": _float, "complex": _complex, "str": dict.get, "bool": dict.get}
+
+
+def _build(cls, node, name: str, **defaults):
+    """A cls from the JSON object node, whose keys are the names of cls's fields:
+    each value is read by its field's type, and an absent field takes the given
+    default, or else its own."""
+    types = {field.name: field.type for field in dataclasses.fields(cls)}
+    _object(node, name, types)
+    return cls(**{**defaults, **{key: _READERS[types[key]](node, key) for key in node}})
 
 
 def _check_alpha(name: str, alpha: float, dim: int) -> None:
@@ -164,13 +182,7 @@ def _check_alpha(name: str, alpha: float, dim: int) -> None:
 
 
 def _parse_resource(cfg: dict, dim: int) -> ResourceParams:
-    node = _section(cfg, "resource")
-    params = ResourceParams(
-        model=node.get("model", ResourceParams.model),
-        alpha=_float(node, "alpha", ResourceParams.alpha),
-        squeezing_db=_float(node, "squeezing_db", ResourceParams.squeezing_db),
-        weight_dv=_float(node, "weight_dv", ResourceParams.weight_dv),
-    )
+    params = _build(ResourceParams, cfg.get("resource", {}), "resource")
     if params.model == "ideal":  # its cats are built at this alpha
         _check_alpha("ideal resource alpha", params.alpha, dim)
     return params
@@ -179,22 +191,24 @@ def _parse_resource(cfg: dict, dim: int) -> ResourceParams:
 def _parse_target(node, default_alpha: float, dim: int) -> TargetSpec:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("target: need an object with a 'kind' key")
-    spec = TargetSpec(
-        kind=node["kind"],
-        alpha=_float(node, "alpha", default_alpha),
-        c_plus=_complex(node, "c_plus"),
-        c_minus=_complex(node, "c_minus"),
-    )
+    spec = _build(TargetSpec, node, "target", alpha=default_alpha)
     _check_alpha(f"{spec.kind} target alpha", spec.alpha, dim)
     return spec
 
 
 def _parse_targets(cfg: dict, default_alpha: float, dim: int) -> list[TargetSpec]:
-    if "targets" not in cfg:
-        return list(DEFAULT_TARGETS)
-    if not isinstance(cfg["targets"], list) or not cfg["targets"]:
+    """The listed targets, or by default the Table 1 kinds; alpha defaults to default_alpha."""
+    nodes = cfg.get("targets", [{"kind": row.target.kind} for row in TABLE1])
+    if not isinstance(nodes, list) or not nodes:
         raise ConfigError("targets: need a non-empty list of targets")
-    return [_parse_target(t, default_alpha, dim) for t in cfg["targets"]]
+    return [_parse_target(node, default_alpha, dim) for node in nodes]
+
+
+def _parse_point(node, name: str, default_alpha: float, dim: int) -> tuple[float, TargetSpec]:
+    """The outcome and the target of an eta_scan entry or of delta_scan."""
+    _object(node, name, ("q_center_snu", "target"))
+    q_center = _float(node, "q_center_snu", 0.0)
+    return q_center, _parse_target(node.get("target", {}), default_alpha, dim)
 
 
 def _parse_dim(cfg: dict) -> int:
@@ -206,6 +220,8 @@ def _parse_dim(cfg: dict) -> int:
 
 def cmd_scan(cfg: dict):
     """Parse a scan config; the returned step computes and writes into out_dir."""
+    _object(cfg, "the top level", ("dim", "resource", "theta_rad", "q_grid_snu", "targets",
+                                   "eta_grid", "eta_scan", "delta_grid_snu", "delta_scan"))
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     theta = _float(cfg, "theta_rad", 0.0)
@@ -216,20 +232,16 @@ def cmd_scan(cfg: dict):
         raise ConfigError("eta_grid: efficiencies must lie in [0, 1]")
     eta_scan = cfg.get("eta_scan", [{"q_center_snu": 0.0, "target": {"kind": "cat_minus"}},
                                     {"q_center_snu": 1.14, "target": {"kind": "coherent_plus"}}])
-    if not isinstance(eta_scan, list) or not eta_scan or not all(isinstance(n, dict) for n in eta_scan):
+    if not isinstance(eta_scan, list) or not eta_scan:
         raise ConfigError("eta_scan: need a non-empty list of objects")
-    eta_points = [
-        (_float(node, "q_center_snu", 0.0), _parse_target(node.get("target", {}), params.alpha, dim))
-        for node in eta_scan
-    ]
+    eta_points = [_parse_point(node, "eta_scan entry", params.alpha, dim) for node in eta_scan]
     delta_grid = _parse_grid(
         cfg.get("delta_grid_snu", {"start": 0.0, "stop": 0.5, "num": 26}), "delta_grid_snu"
     )
     if not (delta_grid[0] >= 0 and delta_grid[-1] <= WINDOW_MAX):
         raise ConfigError(f"delta_grid_snu: widths must lie in [0, {WINDOW_MAX:g}]")
-    delta_scan = _section(cfg, "delta_scan", {"q_center_snu": 0.0, "target": {"kind": "cat_minus"}})
-    delta_q = _float(delta_scan, "q_center_snu", 0.0)
-    delta_target = _parse_target(delta_scan.get("target", {}), params.alpha, dim)
+    delta_q, delta_target = _parse_point(cfg.get("delta_scan", {"target": {"kind": "cat_minus"}}),
+                                         "delta_scan", params.alpha, dim)
 
     def run(out_dir: Path) -> None:
         resource = hybrid_entangled(params, dim_b=dim)
@@ -258,34 +270,31 @@ def cmd_scan(cfg: dict):
 def _parse_row(cfg: dict) -> Table1Row | None:
     if cfg.get("table1_row") is None:
         return None
-    index = _int(cfg, "table1_row", None)
+    index = _int(cfg, "table1_row")
     if not 1 <= index <= len(TABLE1):
         raise ConfigError(f"table1_row must be an integer 1..{len(TABLE1)}")
     return TABLE1[index - 1]
 
 
 def _parse_conditioning(cfg: dict, row: Table1Row | None) -> Conditioning:
-    node = _section(cfg, "conditioning")
+    node = cfg.get("conditioning", {})
     if row is not None:  # a published row fixes everything but the width and the loss
-        node = {**node, "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
-    return Conditioning(
-        theta_rad=_float(node, "theta_rad", Conditioning.theta_rad),
-        q_center=_float(node, "q_center_snu", Conditioning.q_center),
-        delta=_float(node, "delta_snu", Conditioning.delta),
-        eta_a=_float(node, "eta_a", Conditioning.eta_a),
-        tail=node.get("tail", Conditioning.tail),
-    )
+        node = {**_object(node, "conditioning under a table1_row", ("delta_snu", "eta_a")),
+                "theta_rad": row.theta_rad, "q_center_snu": row.q_center, "tail": row.tail}
+    return _build(Conditioning, node, "conditioning")
 
 
 def cmd_prepare(cfg: dict):
     """Parse a prepare config; the returned step computes and writes into out_dir."""
+    _object(cfg, "the top level", ("dim", "resource", "table1_row", "conditioning", "bloch_alpha",
+                                   "wigner", "targets"))
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     row = _parse_row(cfg)
     cond = _parse_conditioning(cfg, row)
     bloch_alpha = _float(cfg, "bloch_alpha", params.alpha)
     _check_alpha("bloch_alpha", bloch_alpha, dim)
-    wnode = _section(cfg, "wigner")
+    wnode = _object(cfg.get("wigner", {}), "wigner", ("min_snu", "max_snu", "step_snu"))
     xs, ps = default_grid_axes(
         _float(wnode, "min_snu", GRID_MIN), _float(wnode, "max_snu", GRID_MAX),
         _float(wnode, "step_snu", GRID_STEP),
@@ -315,13 +324,7 @@ def cmd_prepare(cfg: dict):
             "success_prob": prep.success_prob,
             "success_is_density": prep.success_is_density,
             "heralded_rate_hz": rate,
-            "conditioning": {
-                "theta_rad": cond.theta_rad,
-                "q_center_snu": cond.q_center,
-                "delta_snu": cond.delta,
-                "eta_a": cond.eta_a,
-                "tail": cond.tail,
-            },
+            "conditioning": dataclasses.asdict(cond),
             "purity": purity(prep.rho),
             "mean_photon_number": mean_photon_number(prep.rho),
             "fidelities": fid_rows,
@@ -329,14 +332,11 @@ def cmd_prepare(cfg: dict):
         write_json(state_doc, out_dir / "state.json")
 
         coords = bloch_embed(prep.rho, bloch_alpha)
-        write_json({"phi_polar_rad": coords.phi_polar, "varphi_azimuth_rad": coords.varphi_azimuth,
-                    "d": coords.d, "max_fidelity": coords.max_fidelity,
-                    "subspace_weight": coords.subspace_weight, "alpha": bloch_alpha},
-                   out_dir / "bloch.json")
+        write_json({**dataclasses.asdict(coords), "alpha": bloch_alpha}, out_dir / "bloch.json")
 
         values = wigner_grid(prep.rho, xs, ps)
         write_grid_csv(xs, ps, values, out_dir / "wigner.csv")
-        descriptor = f"conditioned q={cond.q_center:g} theta={cond.theta_rad:g}"
+        descriptor = f"conditioned q={cond.q_center_snu:g} theta={cond.theta_rad:g}"
         meta = grid_metadata(xs, ps, dim, descriptor)
         meta["w_origin"] = wigner_origin(prep.rho)
         meta["negativity_min"] = float(values.min())
@@ -356,6 +356,7 @@ def cmd_prepare(cfg: dict):
 
 def cmd_tomo(cfg: dict):
     """Parse a tomo config; the returned step samples, reconstructs and writes into out_dir."""
+    _object(cfg, "the top level", ("dim", "resource", "truth", "n_samples", "eta", "seed", "tomo"))
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
     if "truth" not in cfg:
@@ -370,13 +371,7 @@ def cmd_tomo(cfg: dict):
     seed = _int(cfg, "seed", 0)
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    tnode = _section(cfg, "tomo")
-    tomo_cfg = TomoConfig(
-        dim_recon=_int(tnode, "dim_recon", TomoConfig.dim_recon),
-        eta_correction=_float(tnode, "eta_correction", eta),
-        bin_width=_float(tnode, "bin_width_snu", TomoConfig.bin_width),
-        n_phases=_int(tnode, "n_phases", TomoConfig.n_phases),
-    )
+    tomo_cfg = _build(TomoConfig, cfg.get("tomo", {}), "tomo", eta_correction=eta)
     if tomo_cfg.dim_recon > dim:
         raise ConfigError(f"tomo: dim_recon must not exceed dim = {dim}")
     if tomo_cfg.n_phases < tomo_cfg.dim_recon:  # too few equally spaced phases to fix rho

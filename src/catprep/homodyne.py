@@ -103,27 +103,27 @@ def marginal_pdf(state, theta, q) -> np.ndarray:
 class Conditioning:
     """Acceptance region of the heralding homodyne measurement.
 
-    theta_rad : local-oscillator phase
-    q_center  : window center, or the tail's threshold, shot-noise units
-    delta     : window width, at most WINDOW_MAX; 0 selects the point-projection limit
-    eta_a     : transmission of the conditioning path before the homodyne
-    tail      : accept |q| >= q_center out to Q_SUPPORT instead; delta is unused
+    theta_rad    : local-oscillator phase
+    q_center_snu : window center, or the tail's threshold, shot-noise units
+    delta_snu    : window width, at most WINDOW_MAX; 0 selects the point-projection limit
+    eta_a        : transmission of the conditioning path before the homodyne
+    tail         : accept |q| >= q_center_snu out to Q_SUPPORT instead; delta_snu is unused
     """
 
     theta_rad: float = 0.0
-    q_center: float = 0.0
-    delta: float = 0.2
+    q_center_snu: float = 0.0
+    delta_snu: float = 0.2
     eta_a: float = 1.0
     tail: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.delta <= WINDOW_MAX:  # NaN fails too
+        if not 0 <= self.delta_snu <= WINDOW_MAX:  # NaN fails too
             raise ValueError(f"delta must lie in [0, {WINDOW_MAX:g}] snu")
         if not 0.0 <= self.eta_a <= 1.0:
             raise ValueError("eta_a must lie in [0, 1]")
         if not isinstance(self.tail, bool):
             raise ValueError("tail must be true or false")
-        if self.tail and not 0.0 <= self.q_center < Q_SUPPORT:
+        if self.tail and not 0.0 <= self.q_center_snu < Q_SUPPORT:
             raise ValueError(f"a tail needs 0 <= q_center < {Q_SUPPORT:g}")
 
 
@@ -202,7 +202,8 @@ def conditioning_operator(dim: int, theta: float, q_center, delta=0.0, eta=1.0,
 def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
     """Mode B given that the homodyne on mode A accepted its outcome: rho_B
     proportional to Tr_A[(E x 1) rho_AB], E the conditioning operator with its loss."""
-    op = conditioning_operator(resource.dim_a, c.theta_rad, c.q_center, c.delta, c.eta_a, c.tail)
+    op = conditioning_operator(resource.dim_a, c.theta_rad, c.q_center_snu, c.delta_snu, c.eta_a,
+                               c.tail)
     r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
     raw = np.einsum("ca,abcd->bd", op, r4)
     success = float(np.real(np.trace(raw)))
@@ -210,5 +211,5 @@ def condition(resource: TwoModeState, c: Conditioning) -> PreparedState:
         raise ValueError("acceptance region has zero probability")
     rho = raw / success
     return PreparedState(MixedState(0.5 * (rho + rho.conj().T)), success,
-                         c.delta == 0.0 and not c.tail)
+                         c.delta_snu == 0.0 and not c.tail)
 

@@ -101,8 +101,6 @@ TABLE1 = (
     Table1Row(TargetSpec("phase_cat_minus"), -1.14, np.pi / 2, False, 0.80),
 )
 
-DEFAULT_TARGETS = tuple(row.target for row in TABLE1)
-
 
 def _scan(resource: TwoModeState, ops, targets) -> np.ndarray:
     """F[n, k]: the fidelity to targets[k] of the state heralded by the acceptance
@@ -150,14 +148,14 @@ def fidelity_vs_delta(resource: TwoModeState, q: float, theta_rad: float, delta_
 class BlochCoords:
     """Location of a state inside the cat-basis Bloch sphere.
 
-    phi_polar ranges over [0, pi] with Cat+ at the north pole; the azimuth
+    phi_polar_rad ranges over [0, pi] with Cat+ at the north pole; the azimuth
     parametrizes the family cos(phi/2)|Cat+> + e^{-i varphi} sin(phi/2)|Cat->,
     so the azimuth of a conditioned state tracks the homodyne phase theta.
     d is the Bloch-vector length sqrt(max(2 purity - 1, 0)).
     """
 
-    phi_polar: float
-    varphi_azimuth: float
+    phi_polar_rad: float
+    varphi_azimuth_rad: float
     d: float
     max_fidelity: float
     subspace_weight: float
@@ -185,8 +183,8 @@ def bloch_embed(state, alpha: float) -> BlochCoords:
     v0, v1 = vecs[:, -1]
     at_pole = min(abs(v0), abs(v1)) < 1e-12
     return BlochCoords(
-        phi_polar=float(2 * np.arctan2(abs(v1), abs(v0))),
-        varphi_azimuth=0.0 if at_pole else float(-np.angle(v1 / v0) % (2 * np.pi)),
+        phi_polar_rad=float(2 * np.arctan2(abs(v1), abs(v0))),
+        varphi_azimuth_rad=0.0 if at_pole else float(-np.angle(v1 / v0) % (2 * np.pi)),
         d=float(np.sqrt(max(2 * purity(state) - 1, 0.0))),
         max_fidelity=float(vals[-1]),
         subspace_weight=float(m[0, 0].real + m[1, 1].real),

@@ -44,7 +44,7 @@ class TomoConfig:
     """Reconstruction settings.
 
     eta_correction is the detection efficiency compensated for in the POVM;
-    bin_width defines per-phase quadrature bins across the sampling support
+    bin_width_snu defines per-phase quadrature bins across the sampling support
     +-Q_SUPPORT, closed by one overflow element per phase so the POVM is
     complete exactly. The phases are pi k / n_phases, k < n_phases; dim_recon of
     them determine rho (Leonhardt et al., Opt. Commun. 127, 144 (1996)).
@@ -52,14 +52,15 @@ class TomoConfig:
 
     dim_recon: int = 12
     eta_correction: float = 1.0
-    bin_width: float = 0.1
+    bin_width_snu: float = 0.1
     n_phases: int = 12
 
     def __post_init__(self):  # written so that NaN fails every check
         if not (isinstance(self.dim_recon, (int, np.integer)) and self.dim_recon >= 2):
             raise ValueError("dim_recon must be an integer of at least 2")
-        if not (self.bin_width > 0 and 2 * Q_SUPPORT / self.bin_width < 2**63):
-            raise ValueError("bin_width must be positive, with 2 * Q_SUPPORT / bin_width below 2**63")
+        if not (self.bin_width_snu > 0 and 2 * Q_SUPPORT / self.bin_width_snu < 2**63):
+            raise ValueError("bin_width_snu must be positive, with 2 * Q_SUPPORT / bin_width_snu "
+                             "below 2**63")
         if not 0 < self.eta_correction <= 1:
             raise ValueError("eta_correction must lie in (0, 1]")
         if not (isinstance(self.n_phases, (int, np.integer)) and self.n_phases >= 1):
@@ -67,7 +68,7 @@ class TomoConfig:
 
     @property
     def n_bins(self) -> int:
-        return int(np.ceil(2 * Q_SUPPORT / self.bin_width - 1e-9))
+        return int(np.ceil(2 * Q_SUPPORT / self.bin_width_snu - 1e-9))
 
 
 def _phases(n_phases: int) -> np.ndarray:
@@ -142,7 +143,7 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
     and every phase's set sums to I / n_phases.
     """
     dim, n_phases = cfg.dim_recon, cfg.n_phases
-    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width_snu * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     bins = acceptance_operator(dim, nodes, weights / n_phases, 0.0, cfg.eta_correction).real
     bins = np.concatenate((bins, np.eye(dim)[None] / n_phases - bins.sum(axis=0)))
@@ -154,7 +155,7 @@ def _povm_factors(cfg: TomoConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def bin_records(records, cfg: TomoConfig) -> np.ndarray:
     """Counts per POVM element, phase-major, n_bins + 1 per phase. Bin b holds
-    floor((q + Q_SUPPORT) / bin_width) = b for 0 <= b < n_bins; everything else
+    floor((q + Q_SUPPORT) / bin_width_snu) = b for 0 <= b < n_bins; everything else
     goes to the phase's overflow element, the last. Phase k holds theta within
     1e-12 of pi k / n_phases; other phases and non-finite q are an error."""
     thetas, qs = _record_arrays(records)
@@ -167,7 +168,7 @@ def bin_records(records, cfg: TomoConfig) -> np.ndarray:
         raise ValueError(f"record phase {thetas[~known][0]} is not pi k / {n} for an integer k")
     if not np.isfinite(qs).all():
         raise ValueError("record quadratures must be finite")
-    b = np.floor((qs + Q_SUPPORT) / cfg.bin_width)
+    b = np.floor((qs + Q_SUPPORT) / cfg.bin_width_snu)
     b = np.where((b >= 0) & (b < cfg.n_bins), b, cfg.n_bins).astype(np.intp)
     stride = cfg.n_bins + 1
     return np.bincount(k * stride + b, minlength=n * stride).astype(float)

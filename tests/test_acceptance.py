@@ -14,7 +14,7 @@ import pytest
 from catprep.fock import fidelity
 from catprep.homodyne import Conditioning, condition
 from catprep.rsp import (
-    DEFAULT_TARGETS,
+    TABLE1,
     TargetSpec,
     bloch_embed,
     fidelity_vs_delta,
@@ -54,7 +54,7 @@ def _equivalence_min_fidelity(dim: int) -> float:
     worst = 1.0
     for q in GRID_Q:
         for theta in GRID_THETA:
-            prep = condition(resource, Conditioning(theta_rad=theta, q_center=q, delta=0.0))
+            prep = condition(resource, Conditioning(theta_rad=theta, q_center_snu=q, delta_snu=0.0))
             worst = min(worst, fidelity(prep.rho, closed_form_state(q, theta, cvm, cvp)))
     return worst
 
@@ -62,9 +62,9 @@ def _equivalence_min_fidelity(dim: int) -> float:
 def _anchor_fidelities(dim: int) -> tuple[float, float]:
     resource = hybrid_entangled(ResourceParams(), dim_b=dim)
     target = target_state(TargetSpec("cat_minus"), dim)
-    clean = fidelity(condition(resource, Conditioning(q_center=0.0, delta=0.0)).rho, target)
+    clean = fidelity(condition(resource, Conditioning(q_center_snu=0.0, delta_snu=0.0)).rho, target)
     lossy = fidelity(
-        condition(resource, Conditioning(q_center=0.0, delta=0.0, eta_a=0.7)).rho, target
+        condition(resource, Conditioning(q_center_snu=0.0, delta_snu=0.0, eta_a=0.7)).rho, target
     )
     return clean, lossy
 
@@ -90,7 +90,7 @@ def _power_law(dim: int) -> tuple[float, float]:
 
 def _success_and_rate(dim: int, eta_a: float) -> tuple[float, float]:
     resource = hybrid_entangled(ResourceParams(), dim_b=dim)
-    prep = condition(resource, Conditioning(q_center=0.0, delta=0.2, eta_a=eta_a))
+    prep = condition(resource, Conditioning(q_center_snu=0.0, delta_snu=0.2, eta_a=eta_a))
     return prep.success_prob, heralded_rate(prep.success_prob)
 
 
@@ -161,7 +161,7 @@ def test_success_probability_and_rate(capsys):
 def test_tomography_round_trips(capsys):
     results = []
     max_seconds = 0.0
-    for spec in DEFAULT_TARGETS:
+    for spec in (row.target for row in TABLE1):  # the six Table 1 targets
         truth = target_state(spec, 30)
         t0 = time.time()
         rec = sample_homodyne(truth, 12, 50_000, eta=1.0, seed=FROZEN_SEED)
@@ -223,16 +223,18 @@ def test_sign_flip_and_azimuth_tracking(capsys):
     worst_overlap = 1.0
     for q in GRID_Q:
         for theta in GRID_THETA:
-            a = condition(resource, Conditioning(theta_rad=theta, q_center=-q, delta=0.0)).rho
+            a = condition(
+                resource, Conditioning(theta_rad=theta, q_center_snu=-q, delta_snu=0.0)
+            ).rho
             b = condition(
-                resource, Conditioning(theta_rad=theta + np.pi, q_center=q, delta=0.0)
+                resource, Conditioning(theta_rad=theta + np.pi, q_center_snu=q, delta_snu=0.0)
             ).rho
             worst_overlap = min(worst_overlap, float(np.trace(a.mat @ b.mat).real))
     worst_azimuth = 0.0
     for theta in GRID_THETA:
-        prep = condition(resource, Conditioning(theta_rad=theta, q_center=1.0, delta=0.0))
+        prep = condition(resource, Conditioning(theta_rad=theta, q_center_snu=1.0, delta_snu=0.0))
         coords = bloch_embed(prep.rho, 0.7)
-        diff = (coords.varphi_azimuth - theta + np.pi) % (2 * np.pi) - np.pi
+        diff = (coords.varphi_azimuth_rad - theta + np.pi) % (2 * np.pi) - np.pi
         worst_azimuth = max(worst_azimuth, abs(float(diff)))
     ok = worst_overlap >= 1 - 1e-9 and worst_azimuth <= 0.05
     _report(capsys, ok, "sign flip and azimuth tracking",

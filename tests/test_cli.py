@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import catprep
 from catprep import tomography
 from catprep.cli import (
+    _READERS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -31,9 +32,10 @@ from catprep.cli import (
     write_json,
     write_scan_csv,
 )
-from catprep.homodyne import WINDOW_MAX
-from catprep.rsp import TargetSpec, fidelity_vs_q
+from catprep.homodyne import WINDOW_MAX, Conditioning
+from catprep.rsp import TABLE1, TargetSpec, fidelity_vs_q
 from catprep.states import ResourceParams, cat, hybrid_entangled
+from catprep.tomography import TomoConfig
 from catprep.wigner import write_grid_csv
 from oracles import read_grid_csv, wigner_series
 
@@ -439,6 +441,20 @@ def test_readme_config_examples_run(tmp_path, command):
             assert run([command, "--config", cfg, "--out", out]) == EXIT_CONFIG, path
 
 
+def test_readme_key_lists_are_the_dataclass_fields():
+    # the CLI builds resource, conditioning and tomo from their dataclasses' fields, so
+    # the keys the README lists for them must be those fields, in order
+    text = README.read_text()
+    for node, cls in (("resource", ResourceParams), ("conditioning", Conditioning),
+                      ("tomo", TomoConfig)):
+        (listed,) = re.findall(rf"The\s+`{node}`\s+node\s+reads\s+\w+\s+keys:([^.]*)\.", text)
+        assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(cls)]
+    # a field of a type without a reader would end a user's run in a traceback
+    types = {f.type for cls in (ResourceParams, Conditioning, TomoConfig, TargetSpec)
+             for f in dataclasses.fields(cls)}
+    assert types <= set(_READERS)
+
+
 def test_readme_cites_only_names_that_exist():
     # each catprep.<module>.<name> in the README is importable from that module,
     # so a name that moves or goes cannot stay cited
@@ -580,6 +596,66 @@ def test_bad_config_values_exit_with_config_error(tmp_path, capsys, command, doc
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())  # refused before any output
+
+
+@pytest.mark.parametrize(
+    "command, doc, holder, key",
+    [
+        ("scan", {**SCAN_DOC, "stray": 1}, "the top level", "stray"),
+        ("prepare", {**PREP_DOC, "stray": 1}, "the top level", "stray"),
+        ("tomo", {**TOMO_DOC, "n_phases": 6}, "the top level", "n_phases"),
+        ("scan", {**SCAN_DOC, "resource": {"alpha": 0.7, "stray": 1}}, "resource", "stray"),
+        ("prepare", {**PREP_DOC, "targets": [{"kind": "cat_minus", "stray": 1}]}, "target",
+         "stray"),
+        ("tomo", {**TOMO_DOC, "truth": {"kind": "cat_minus", "alhpa": 0.7}}, "target", "alhpa"),
+        ("scan", {**SCAN_DOC, "q_grid_snu": {"start": -1.0, "stop": 1.0, "num": 5, "step": 0.5}},
+         "q_grid_snu", "step"),
+        ("scan", {**SCAN_DOC, "eta_scan": [{"q_center_snu": 0.0, "delta_snu": 0.2}]},
+         "eta_scan entry", "delta_snu"),
+        ("scan", {**SCAN_DOC, "delta_scan": {"q_center_snu": 0.0, "eta_a": 0.9}}, "delta_scan",
+         "eta_a"),
+        ("prepare", {**PREP_DOC, "conditioning": {"q_center_snu": 0.0, "delta": 0.2}},
+         "conditioning", "delta"),
+        ("prepare", {**PREP_DOC, "wigner": {**PREP_DOC["wigner"], "num": 41}}, "wigner", "num"),
+        ("tomo", {**TOMO_DOC, "tomo": {"dim_recon": 8, "n_phase": 6}}, "tomo", "n_phase"),
+        # a Table 1 row fixes theta_rad, q_center_snu and tail
+        ("prepare", {**PREP_DOC, "table1_row": 2,
+                     "conditioning": {"q_center_snu": 1.0, "theta_rad": 0.5}},
+         "conditioning under a table1_row", "q_center_snu"),
+        ("prepare", {**PREP_DOC, "table1_row": 3, "conditioning": {"theta_rad": 0.0}},
+         "conditioning under a table1_row", "theta_rad"),
+        ("prepare", {**PREP_DOC, "table1_row": 1, "conditioning": {"delta_snu": 0.2, "tail": True}},
+         "conditioning under a table1_row", "tail"),
+    ],
+    ids=["scan_top", "prepare_top", "tomo_top", "resource", "target", "truth", "grid",
+         "eta_scan_entry", "delta_scan", "conditioning", "wigner", "tomo_node", "row_q_center",
+         "row_theta", "row_tail"],
+)
+def test_unknown_keys_are_refused_at_every_level(tmp_path, capsys, command, doc, holder, key):
+    # a key the command does not read, such as a misspelt one, would be ignored and the
+    # run succeed with the default in its place
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {holder} reads only ") and err.count("\n") == 1
+    assert err.endswith(f", not {key!r}\n")
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_default_targets_take_the_resource_alpha(tmp_path):
+    # without targets, the six Table 1 kinds are built at the resource alpha, as a
+    # listed target without an alpha is
+    doc = {**{k: v for k, v in PREP_DOC.items() if k != "targets"}, "resource": {"alpha": 1.2}}
+    runs = {"default": doc, "listed": {**doc, "targets": [{"kind": "cat_minus"}]}}
+    fids = {}
+    for name, config in runs.items():
+        cfg = write_config(tmp_path, f"{name}.json", config)
+        assert run(["prepare", "--config", cfg, "--out", tmp_path / name]) == EXIT_OK
+        fids[name] = json.loads((tmp_path / name / "state.json").read_text())["fidelities"]
+    assert [f["target"] for f in fids["default"]] == [row.target.kind for row in TABLE1]
+    assert all(f["alpha"] == 1.2 for f in fids["default"] + fids["listed"])
+    (listed,) = fids["listed"]
+    assert fids["default"][1] == listed  # cat_minus, Table 1 row 2
 
 
 @pytest.mark.parametrize(

@@ -180,13 +180,13 @@ def test_sampler_marginals_match_the_per_phase_loop(truth, eta):
 
 def test_conditioning_validation():
     with pytest.raises(ValueError):
-        Conditioning(delta=-0.1)
+        Conditioning(delta_snu=-0.1)
     with pytest.raises(ValueError):
         Conditioning(eta_a=1.3)
-    Conditioning(delta=WINDOW_MAX)
+    Conditioning(delta_snu=WINDOW_MAX)
     for delta in (np.nextafter(WINDOW_MAX, np.inf), 40.0, -0.1, np.nan):
         with pytest.raises(ValueError):
-            Conditioning(delta=delta)
+            Conditioning(delta_snu=delta)
         with pytest.raises(ValueError):
             conditioning_operator(2, 0.0, 0.0, [0.0, 0.2, delta])
     for q_center in (12.0, -1.0, np.nan):  # off-POVM or NaN operators if unchecked
@@ -244,7 +244,8 @@ def _check_acceptance_oracle(q_center, delta, eta, w, tail):
     # the tail |q| >= q_center follows from normal-distribution integrals
     # (the tail's mass beyond Q_SUPPORT is below 1e-20)
     res = hybrid_entangled(ResourceParams(weight_dv=w), dim_b=40)
-    prep = condition(res, Conditioning(q_center=q_center, delta=delta, eta_a=eta, tail=tail))
+    prep = condition(res, Conditioning(q_center_snu=q_center, delta_snu=delta, eta_a=eta,
+                                       tail=tail))
     if tail:
         i0 = 2 * norm.cdf(-q_center)
         i2 = i0 + 2 * q_center * norm.pdf(q_center)
@@ -292,18 +293,18 @@ def test_window_success_matches_marginal_integral(theta, q_center, delta, eta_a)
     from scipy.special import roots_legendre
 
     res = hybrid_entangled(ResourceParams(weight_dv=0.35), dim_b=30)
-    c = Conditioning(theta_rad=theta, q_center=q_center, delta=delta, eta_a=eta_a)
+    c = Conditioning(theta_rad=theta, q_center_snu=q_center, delta_snu=delta, eta_a=eta_a)
     prep = condition(res, c)
     ra = partial_trace(loss_on_mode_a(res, c.eta_a), keep="a")
     x, wts = roots_legendre(40)
-    nodes = c.q_center + (c.delta / 2) * x
-    integral = np.sum((c.delta / 2) * wts * marginal_pdf(ra, c.theta_rad, nodes))
+    nodes = c.q_center_snu + (c.delta_snu / 2) * x
+    integral = np.sum((c.delta_snu / 2) * wts * marginal_pdf(ra, c.theta_rad, nodes))
     assert np.isclose(prep.success_prob, integral, atol=1e-10)
 
 
 def test_point_conditioning_reports_density():
     res = hybrid_entangled(ResourceParams(), dim_b=30)
-    c = Conditioning(q_center=0.3, delta=0.0)
+    c = Conditioning(q_center_snu=0.3, delta_snu=0.0)
     prep = condition(res, c)
     assert prep.success_is_density
     ra = partial_trace(res, keep="a")
@@ -313,7 +314,7 @@ def test_point_conditioning_reports_density():
 def test_condition_rejects_empty_window():
     res = hybrid_entangled(ResourceParams(), dim_b=30)
     with pytest.raises(ValueError):
-        condition(res, Conditioning(q_center=60.0, delta=0.0))
+        condition(res, Conditioning(q_center_snu=60.0, delta_snu=0.0))
 
 
 def test_closed_form_limits():
@@ -327,7 +328,7 @@ def test_point_conditioning_matches_closed_form():
     res = hybrid_entangled(params, dim_b=30)
     cvm, cvp = cv_pair(params, 30)
     for q, theta in [(0.9, 0.0), (-1.7, np.pi / 4), (2.4, np.pi)]:
-        prep = condition(res, Conditioning(theta_rad=theta, q_center=q, delta=0.0))
+        prep = condition(res, Conditioning(theta_rad=theta, q_center_snu=q, delta_snu=0.0))
         assert fidelity(prep.rho, closed_form_state(q, theta, cvm, cvp)) > 1 - 1e-9
 
 
@@ -338,7 +339,7 @@ def test_phase_covariance_of_fidelity():
     q = 1.2
     vals = []
     for theta in (0.0, np.pi / 3, np.pi / 2, 4.0):
-        prep = condition(res, Conditioning(theta_rad=theta, q_center=q, delta=0.0))
+        prep = condition(res, Conditioning(theta_rad=theta, q_center_snu=q, delta_snu=0.0))
         vals.append(fidelity(prep.rho, closed_form_state(q, theta, cvm, cvp)))
     assert np.ptp(vals) < 1e-9
 
@@ -346,8 +347,8 @@ def test_phase_covariance_of_fidelity():
 def test_sign_flip_equals_phase_shift():
     res = hybrid_entangled(ResourceParams(model="ideal"), dim_b=30)
     for q, theta in [(1.3, 0.0), (0.6, np.pi / 4)]:
-        a = condition(res, Conditioning(theta_rad=theta, q_center=-q, delta=0.0)).rho
-        b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center=q, delta=0.0)).rho
+        a = condition(res, Conditioning(theta_rad=theta, q_center_snu=-q, delta_snu=0.0)).rho
+        b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center_snu=q, delta_snu=0.0)).rho
         overlap = np.trace(a.mat @ b.mat).real  # both pure
         assert overlap > 1 - 1e-9
 
@@ -373,8 +374,10 @@ def test_sign_flip_equals_phase_shift_everywhere(model, weight_dv, theta, q, del
     # Table 1 rows 5 and 6 herald at -q: conditioning on -q at theta must equal
     # conditioning on q at theta + pi for points, windows and heralding loss
     res = _resource(model, weight_dv)
-    a = condition(res, Conditioning(theta_rad=theta, q_center=-q, delta=delta, eta_a=eta_a))
-    b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center=q, delta=delta, eta_a=eta_a))
+    a = condition(res, Conditioning(theta_rad=theta, q_center_snu=-q, delta_snu=delta,
+                                    eta_a=eta_a))
+    b = condition(res, Conditioning(theta_rad=theta + np.pi, q_center_snu=q, delta_snu=delta,
+                                    eta_a=eta_a))
     assert np.max(np.abs(a.rho.mat - b.rho.mat)) <= 1e-12
     assert abs(a.success_prob - b.success_prob) <= 1e-12 * b.success_prob
     assert a.success_is_density == b.success_is_density
@@ -383,9 +386,9 @@ def test_sign_flip_equals_phase_shift_everywhere(model, weight_dv, theta, q, del
 def test_loss_before_projection_degrades_fidelity():
     res = hybrid_entangled(ResourceParams(), dim_b=40)
     tgt = cat(0.7, "odd", 40)
-    f_clean = fidelity(condition(res, Conditioning(q_center=0.0, delta=0.0)).rho, tgt)
+    f_clean = fidelity(condition(res, Conditioning(q_center_snu=0.0, delta_snu=0.0)).rho, tgt)
     f_lossy = fidelity(
-        condition(res, Conditioning(q_center=0.0, delta=0.0, eta_a=0.7)).rho, tgt
+        condition(res, Conditioning(q_center_snu=0.0, delta_snu=0.0, eta_a=0.7)).rho, tgt
     )
     assert f_lossy < f_clean
 
@@ -393,7 +396,7 @@ def test_loss_before_projection_degrades_fidelity():
 def test_tail_conditioning_success_oracle():
     # frozen at dim 40 from the Gaussian oracle's tail example above
     res = hybrid_entangled(ResourceParams(weight_dv=0.5), dim_b=40)
-    prep = condition(res, Conditioning(q_center=2.0, tail=True))
+    prep = condition(res, Conditioning(q_center_snu=2.0, tail=True))
     assert np.isclose(prep.success_prob, 0.1534821969227534, atol=1e-10)
     assert np.isclose(fidelity(prep.rho, cat(0.7, "even", 40)), 0.8422758830922087, atol=1e-8)
 
@@ -401,15 +404,15 @@ def test_tail_conditioning_success_oracle():
 def test_tail_conditioning_validation():
     for q_min in (-1.0, Q_SUPPORT, 12.0, np.nan):
         with pytest.raises(ValueError):
-            Conditioning(q_center=q_min, tail=True)
+            Conditioning(q_center_snu=q_min, tail=True)
     with pytest.raises(ValueError):
-        Conditioning(q_center=2.0, tail="false")  # a truthy string is not a flag
-    Conditioning(q_center=-1.0)  # a window may sit anywhere
+        Conditioning(q_center_snu=2.0, tail="false")  # a truthy string is not a flag
+    Conditioning(q_center_snu=-1.0)  # a window may sit anywhere
 
 
 def test_conditioned_state_is_physical():
     res = hybrid_entangled(ResourceParams(), dim_b=30)
-    prep = condition(res, Conditioning(q_center=0.8, delta=0.25, eta_a=0.9))
+    prep = condition(res, Conditioning(q_center_snu=0.8, delta_snu=0.25, eta_a=0.9))
     rho = prep.rho.mat
     assert np.allclose(rho, rho.conj().T, atol=1e-12)
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-12)
@@ -419,9 +422,9 @@ def test_conditioned_state_is_physical():
 @pytest.mark.parametrize(
     "prepare",
     [
-        lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.2, eta_a=eta)),
-        lambda res, eta: condition(res, Conditioning(q_center=0.5, delta=0.0, eta_a=eta)),
-        lambda res, eta: condition(res, Conditioning(q_center=2.0, eta_a=eta, tail=True)),
+        lambda res, eta: condition(res, Conditioning(q_center_snu=0.5, delta_snu=0.2, eta_a=eta)),
+        lambda res, eta: condition(res, Conditioning(q_center_snu=0.5, delta_snu=0.0, eta_a=eta)),
+        lambda res, eta: condition(res, Conditioning(q_center_snu=2.0, eta_a=eta, tail=True)),
     ],
     ids=["window", "point", "tail"],
 )

@@ -232,14 +232,14 @@ def test_bloch_embed_poles():
     dim = 30
     top = bloch_embed(cat(0.7, "even", dim), 0.7)
     assert isinstance(top, BlochCoords)
-    assert top.phi_polar < 1e-3
-    assert top.varphi_azimuth == 0.0
+    assert top.phi_polar_rad < 1e-3
+    assert top.varphi_azimuth_rad == 0.0
     assert np.isclose(top.max_fidelity, 1.0, atol=1e-9)
     assert np.isclose(top.d, 1.0, atol=1e-9)
     assert np.isclose(top.subspace_weight, 1.0, atol=1e-9)
     bottom = bloch_embed(cat(0.7, "odd", dim), 0.7)
-    assert np.isclose(bottom.phi_polar, np.pi, atol=1e-3)
-    assert bottom.varphi_azimuth == 0.0
+    assert np.isclose(bottom.phi_polar_rad, np.pi, atol=1e-3)
+    assert bottom.varphi_azimuth_rad == 0.0
 
 
 def test_bloch_embed_equator_azimuth():
@@ -251,8 +251,8 @@ def test_bloch_embed_equator_azimuth():
         from catprep.fock import PureState
 
         coords = bloch_embed(PureState.from_amplitudes(amps), 0.7)
-        assert np.isclose(coords.phi_polar, np.pi / 2, atol=1e-3)
-        assert np.isclose(coords.varphi_azimuth, varphi0, atol=1e-3)
+        assert np.isclose(coords.phi_polar_rad, np.pi / 2, atol=1e-3)
+        assert np.isclose(coords.varphi_azimuth_rad, varphi0, atol=1e-3)
         assert np.isclose(coords.max_fidelity, 1.0, atol=1e-9)
 
 
@@ -270,8 +270,8 @@ def test_bloch_embed_matches_eigenvalue_oracle():
         assert np.isclose(coords.max_fidelity, lam, atol=1e-6)
         # the returned angles reach that fidelity within the family
         # cos(phi/2)|Cat+> + e^{-i varphi} sin(phi/2)|Cat->
-        c, s = np.cos(coords.phi_polar / 2), np.sin(coords.phi_polar / 2)
-        cross = (m[0, 1] * np.exp(-1j * coords.varphi_azimuth)).real
+        c, s = np.cos(coords.phi_polar_rad / 2), np.sin(coords.phi_polar_rad / 2)
+        cross = (m[0, 1] * np.exp(-1j * coords.varphi_azimuth_rad)).real
         family = c**2 * m[0, 0].real + s**2 * m[1, 1].real + 2 * c * s * cross
         assert np.isclose(family, coords.max_fidelity, rtol=0, atol=1e-12)
 
@@ -279,9 +279,9 @@ def test_bloch_embed_matches_eigenvalue_oracle():
 def test_conditioned_azimuth_tracks_phase():
     res = experimental_resource()
     for theta in (0.3, 1.2, 2.5):
-        prep = condition(res, Conditioning(theta_rad=theta, q_center=1.0, delta=0.0))
+        prep = condition(res, Conditioning(theta_rad=theta, q_center_snu=1.0, delta_snu=0.0))
         coords = bloch_embed(prep.rho, 0.7)
-        diff = (coords.varphi_azimuth - theta + np.pi) % (2 * np.pi) - np.pi
+        diff = (coords.varphi_azimuth_rad - theta + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 0.05
 
 

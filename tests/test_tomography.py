@@ -46,7 +46,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="dim_recon"):
             TomoConfig(dim_recon=bad)
     with pytest.raises(ValueError):
-        TomoConfig(bin_width=0.0)
+        TomoConfig(bin_width_snu=0.0)
     with pytest.raises(ValueError):
         TomoConfig(eta_correction=0.0)
     with pytest.raises(ValueError):
@@ -55,8 +55,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="n_phases"):
             TomoConfig(n_phases=bad)
     # bin counts past 64 bits, the first infinite
-    for bad in ({"bin_width": np.nan}, {"bin_width": -0.1}, {"bin_width": 1e-320},
-                {"bin_width": 1e-300},
+    for bad in ({"bin_width_snu": np.nan}, {"bin_width_snu": -0.1}, {"bin_width_snu": 1e-320},
+                {"bin_width_snu": 1e-300},
                 {"eta_correction": np.nan}):
         with pytest.raises(ValueError):
             TomoConfig(**bad)
@@ -154,7 +154,7 @@ def test_records_csv_round_trip(tmp_path):
 
 def test_bin_records_counts_and_overflow():
     w = Q_SUPPORT / 2  # four bins across the support
-    cfg = TomoConfig(n_phases=2, bin_width=w)
+    cfg = TomoConfig(n_phases=2, bin_width_snu=w)
     assert cfg.n_bins == 4
     records = (
         np.array([0.0, 0.0, 0.0, np.pi / 2]),
@@ -197,7 +197,7 @@ def test_sampled_records_never_overflow(bin_width):
     # reaches both edges
     records = sample_homodyne(cat(4.5, "even", 100), 1, 20_000, seed=FROZEN_SEED)
     assert records[1].min() < 0.5 - Q_SUPPORT and records[1].max() > Q_SUPPORT - 0.5
-    counts = bin_records(records, TomoConfig(bin_width=bin_width, n_phases=1))
+    counts = bin_records(records, TomoConfig(bin_width_snu=bin_width, n_phases=1))
     assert counts[-1] == 0
 
 
@@ -211,13 +211,13 @@ def test_povm_completeness(eta):
 
 def test_povm_probabilities_match_marginal_integral():
     # without correction, bin probabilities equal integrals of the marginal
-    cfg = TomoConfig(dim_recon=10, bin_width=0.5, n_phases=3)
+    cfg = TomoConfig(dim_recon=10, bin_width_snu=0.5, n_phases=3)
     povm = build_povm(cfg)
     state = cat(0.7, "odd", 10)
     rho = density(state).mat
     probs = np.einsum("jab,ba->j", povm, rho).real
     stride = cfg.n_bins + 1
-    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width_snu * np.arange(cfg.n_bins + 1)
     for k in range(cfg.n_phases):
         theta = k * np.pi / cfg.n_phases
         for b in range(0, cfg.n_bins, 17):
@@ -229,8 +229,8 @@ def test_povm_probabilities_match_marginal_integral():
 @pytest.mark.parametrize("dim", [8, 12])
 def test_povm_duality_with_loss_channel(dim):
     # Tr[Pi_corrected rho] = Tr[Pi loss(rho)] for every element
-    cfg0 = TomoConfig(dim_recon=dim, bin_width=1.0, n_phases=3)
-    cfg = TomoConfig(dim_recon=dim, bin_width=1.0, n_phases=3, eta_correction=0.85)
+    cfg0 = TomoConfig(dim_recon=dim, bin_width_snu=1.0, n_phases=3)
+    cfg = TomoConfig(dim_recon=dim, bin_width_snu=1.0, n_phases=3, eta_correction=0.85)
     rho = random_density(dim, seed=5)
     lossy = loss_channel(MixedState(rho), 0.85).mat
     p_corr = np.einsum("jab,ba->j", build_povm(cfg), rho).real
@@ -245,7 +245,7 @@ def test_equally_spaced_phases_determine_rho_from_dim_phases_on(dim, data):
     # to the bin probabilities: dim^2 - (dim - k)^2 for k < dim phases, full from
     # k = dim on, the bound the tomo command refuses below (Leonhardt et al. 1996)
     n_phases = data.draw(st.integers(1, dim + 1))
-    factors = _povm_factors(TomoConfig(dim_recon=dim, n_phases=n_phases, bin_width=0.1))
+    factors = _povm_factors(TomoConfig(dim_recon=dim, n_phases=n_phases, bin_width_snu=0.1))
     basis = []
     for m in range(dim):
         for n in range(m, dim):
@@ -295,7 +295,7 @@ def test_truth_beats_random_challengers():
 
 def test_log_likelihood_minus_inf_sentinel():
     # a populated bin with zero probability under the state
-    cfg = TomoConfig(dim_recon=2, n_phases=1, bin_width=2 * Q_SUPPORT)
+    cfg = TomoConfig(dim_recon=2, n_phases=1, bin_width_snu=2 * Q_SUPPORT)
     records = (np.array([0.0]), np.array([5 * Q_SUPPORT]))  # lands in overflow only
     ll = log_likelihood(basis_state(0, 2), records, cfg)
     assert ll == -np.inf
@@ -313,10 +313,10 @@ def test_bin_width_insensitivity():
     truth = cat(0.7, "odd", 30)
     records = sample_homodyne(truth, 12, 30_000, seed=FROZEN_SEED)
     f1 = fidelity_to_truth(
-        mle_reconstruct(records, TomoConfig(bin_width=0.05)).state, truth
+        mle_reconstruct(records, TomoConfig(bin_width_snu=0.05)).state, truth
     )
     f2 = fidelity_to_truth(
-        mle_reconstruct(records, TomoConfig(bin_width=0.2)).state, truth
+        mle_reconstruct(records, TomoConfig(bin_width_snu=0.2)).state, truth
     )
     assert f1 >= 0.99 and f2 >= 0.99
     assert abs(f1 - f2) <= 0.01
@@ -364,7 +364,7 @@ def reference_povm(cfg):
     """The POVM built phase by phase, one lossy acceptance operator per
     phase, with no use of phase covariance."""
     dim, n_phases = cfg.dim_recon, cfg.n_phases
-    edges = -Q_SUPPORT + cfg.bin_width * np.arange(cfg.n_bins + 1)
+    edges = -Q_SUPPORT + cfg.bin_width_snu * np.arange(cfg.n_bins + 1)
     nodes, weights = gauss_legendre(edges[:-1], edges[1:], 3)
     elements = []
     for k in range(n_phases):
@@ -408,7 +408,7 @@ def reference_mle(records, cfg):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_phase_covariant_probabilities_match_full_povm(dim, eta, bin_width, n_phases, seed):
-    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width=bin_width, n_phases=n_phases)
+    cfg = TomoConfig(dim_recon=dim, eta_correction=eta, bin_width_snu=bin_width, n_phases=n_phases)
     rho = random_density(dim, seed)
     povm, factors = reference_povm(cfg), _povm_factors(cfg)
     want = np.einsum("jab,ba->j", povm, rho).real
@@ -596,7 +596,7 @@ def test_mle_on_populated_columns_matches_full_povm(case):
         records = single_phase_bin_records()
         # at dim_recon 6 the bins hold all of the support to rounding, which
         # leaves the overflow element no probability to give a record
-        cfg = TomoConfig(dim_recon=12, n_phases=3, bin_width=0.5)
+        cfg = TomoConfig(dim_recon=12, n_phases=3, bin_width_snu=0.5)
     counts = bin_records(records, cfg).reshape(cfg.n_phases, -1)
     populated = counts.any(axis=0)
     assert 0 < populated.sum() < populated.size  # the fringes are empty in every phase
@@ -615,7 +615,7 @@ def test_mle_never_certifies_a_floored_probability():
     # probability under any state; P_FLOOR keeps the iteration finite, but
     # Tr R rho = 1 fails there, so the gap bounds nothing
     records = single_phase_bin_records()
-    cfg = TomoConfig(dim_recon=6, n_phases=3, bin_width=0.5)
+    cfg = TomoConfig(dim_recon=6, n_phases=3, bin_width_snu=0.5)
     result = mle_reconstruct(records, cfg)
     assert not result.converged
     assert result.log_likelihood == log_likelihood(result.state, records, cfg) == -np.inf
