@@ -25,14 +25,12 @@ def _sqrt_binomials(dim: int) -> np.ndarray:
     (n above about 1030) takes the lgamma form instead."""
     s = np.zeros((dim, dim))
     for n in range(dim):
-        binom = 1  # C(n, k), exact
         for k in range(n + 1):
             try:
-                s[k, n] = math.sqrt(binom)
+                s[k, n] = math.sqrt(math.comb(n, k))
             except OverflowError:
                 s[k, n] = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(k + 1)
                                           - math.lgamma(n - k + 1)))
-            binom = binom * (n - k) // (k + 1)
     s.flags.writeable = False
     return s
 

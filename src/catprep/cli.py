@@ -40,7 +40,6 @@ from .rsp import (
 from .states import ResourceParams, hybrid_entangled, within_truncation
 from .tomography import (
     TomoConfig,
-    fidelity_to_truth,
     mle_reconstruct,
     sample_homodyne,
     write_records,
@@ -86,6 +85,12 @@ def write_scan_csv(params, targets, fids, path) -> None:
 
 def _rho_pairs(mat: np.ndarray) -> list:
     return np.ascontiguousarray(mat, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+def _coefficients(spec: TargetSpec) -> dict:
+    """A custom target's c_plus and c_minus as [re, im] pairs, the config's form."""
+    pairs = {"c_plus": spec.c_plus, "c_minus": spec.c_minus}
+    return {key: [c.real, c.imag] for key, c in pairs.items()} if spec.kind == "custom" else {}
 
 
 def load_config(path) -> dict:
@@ -313,6 +318,7 @@ def cmd_prepare(cfg: dict):
                 "alpha": spec.alpha,
                 "fidelity_simulated": fidelity(prep.rho, target_state(spec, dim)),
                 "fidelity_published": None,
+                **_coefficients(spec),
             }
             if row is not None and row.target.kind == spec.kind:
                 entry["fidelity_published"] = row.published_fidelity
@@ -395,10 +401,11 @@ def cmd_tomo(cfg: dict):
             out_dir / "recon.json",
         )
 
-        fid = fidelity_to_truth(result.state, truth)
+        fid = fidelity(result.state, truth)
         w_origin = wigner_origin(result.state)
         report = {
-            "truth": {"kind": truth_spec.kind, "alpha": truth_spec.alpha},
+            "truth": {"kind": truth_spec.kind, "alpha": truth_spec.alpha,
+                      **_coefficients(truth_spec)},
             "n_samples": n_samples,
             "eta": eta,
             "eta_correction": tomo_cfg.eta_correction,

@@ -8,9 +8,7 @@ Conventions used across the package:
 
 States are dense numpy arrays in the number basis, truncated at ``dim``.
 Constructors validate their invariants and raise ValueError on violation:
-normalization, Hermiticity and, for MixedState, positivity. TwoModeState
-checks Hermiticity and unit trace but not positivity; the scans in rsp check
-a resource's positivity before they herald from it.
+normalization, Hermiticity, unit trace and positivity.
 """
 
 from __future__ import annotations
@@ -58,13 +56,21 @@ class PureState:
         return cls(amps / nrm)
 
 
+def _check_density(mat: np.ndarray, kind: str) -> None:
+    """Hermitian within 1e-10, positive semidefinite (eigenvalues >= -1e-10), unit
+    trace within 1e-10, or ValueError naming kind."""
+    if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:  # NaN fails
+        raise ValueError(f"{kind} matrix is not Hermitian")
+    tr = np.trace(mat).real
+    if not abs(tr - 1.0) <= HERM_TOL:
+        raise ValueError(f"{kind} trace is {tr}, expected 1")
+    if np.linalg.eigvalsh(mat).min() < -EIG_TOL:
+        raise ValueError(f"{kind} matrix is not positive semidefinite")
+
+
 @dataclass
 class MixedState:
-    """Density matrix in the number basis.
-
-    Hermitian within 1e-10, positive semidefinite (eigenvalues >= -1e-10),
-    unit trace within 1e-10.
-    """
+    """Density matrix in the number basis: Hermitian, PSD and unit trace to 1e-10."""
 
     mat: np.ndarray
 
@@ -72,13 +78,7 @@ class MixedState:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("MixedState matrix must be square")
-        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL:  # NaN fails
-            raise ValueError("MixedState matrix is not Hermitian")
-        tr = np.trace(self.mat).real
-        if not abs(tr - 1.0) <= HERM_TOL:
-            raise ValueError(f"MixedState trace is {tr}, expected 1")
-        if np.linalg.eigvalsh(self.mat).min() < -EIG_TOL:
-            raise ValueError("MixedState matrix is not positive semidefinite")
+        _check_density(self.mat, "MixedState")
 
     @property
     def dim(self) -> int:
@@ -87,7 +87,8 @@ class MixedState:
 
 @dataclass
 class TwoModeState:
-    """Density matrix on two modes A and B, row-major index n_a * dim_b + n_b."""
+    """Density matrix on two modes A and B, row-major index n_a * dim_b + n_b:
+    Hermitian, PSD and unit trace to 1e-10."""
 
     mat: np.ndarray
     dim_a: int
@@ -98,10 +99,7 @@ class TwoModeState:
         d = self.dim_a * self.dim_b
         if self.mat.shape != (d, d):
             raise ValueError(f"TwoModeState matrix must be {d}x{d}")
-        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL:  # NaN fails
-            raise ValueError("TwoModeState matrix is not Hermitian")
-        if not abs(np.trace(self.mat).real - 1.0) <= HERM_TOL:
-            raise ValueError("TwoModeState trace must be 1")
+        _check_density(self.mat, "TwoModeState")
 
     @classmethod
     def from_pure(cls, vec, dim_a: int, dim_b: int) -> "TwoModeState":
@@ -135,12 +133,15 @@ def _as_density(state) -> np.ndarray:
 
 
 def fidelity(state, target: PureState) -> float:
-    """F = <target| rho |target>, clipped to [0, 1]."""
-    if isinstance(state, PureState):
-        val = abs(np.vdot(target.amps, state.amps)) ** 2
-    else:
-        rho = _as_density(state)
-        val = np.real(target.amps.conj() @ rho @ target.amps)
+    """F = <target| rho |target>, clipped to [0, 1]. A target longer than the state
+    enters with its leading amplitudes, which scores a reconstruction against a
+    larger truth; a shorter one raises ValueError."""
+    pure = isinstance(state, PureState)
+    m = state.amps if pure else _as_density(state)
+    if target.dim < m.shape[0]:
+        raise ValueError(f"target dimension {target.dim} is below the state's {m.shape[0]}")
+    t = target.amps[: m.shape[0]]
+    val = abs(np.vdot(t, m)) ** 2 if pure else np.real(t.conj() @ m @ t)
     return float(min(max(val, 0.0), 1.0))
 
 

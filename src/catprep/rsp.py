@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import EIG_TOL, PureState, TwoModeState, _as_density, purity
+from .fock import PureState, TwoModeState, _as_density, purity
 from .homodyne import MIN_SUCCESS, conditioning_operator
 from .states import cat, coherent
 
@@ -106,14 +106,10 @@ def _scan(resource: TwoModeState, ops, targets) -> np.ndarray:
     """F[n, k]: the fidelity to targets[k] of the state heralded by the acceptance
     operator ops[n], from the mode-B blocks rho_B^{ac} of the resource:
     F = Re sum E_ca <t|rho_B^{ac}|t> / Re sum E_ca Tr rho_B^{ac}.
-    The map E -> Tr_A[(E x 1) rho_AB] is completely positive, so a PSD
-    resource and PSD operators stand in for a check of every heralded state."""
-    ops = np.asarray(ops)
-    if len(ops) == 0:
-        return np.empty((0, len(targets)))
-    lowest = np.minimum(np.linalg.eigvalsh(resource.mat).min(), np.linalg.eigvalsh(ops).min())
-    if not lowest >= -EIG_TOL:  # NaN fails too
-        raise ValueError("resource or acceptance operator is not positive semidefinite")
+    No heralded state needs a check: E -> Tr_A[(E x 1) rho_AB] is completely
+    positive, TwoModeState checks that the resource is PSD, and conditioning_operator
+    makes each E PSD (non-negative weights on rank-one projectors, pushed through the
+    completely positive loss_adjoint). A NaN setting fails the success check."""
     r4 = resource.mat.reshape(resource.dim_a, resource.dim_b, resource.dim_a, resource.dim_b)
     t = np.stack([target_state(spec, resource.dim_b).amps for spec in targets])
     overlaps = np.einsum("kb,abcd,kd->kac", t.conj(), r4, t)

@@ -429,14 +429,3 @@ def mle_reconstruct(records, cfg: TomoConfig) -> ReconResult:
     return ReconResult(MixedState(rho), iterations, _frequencies_ll(f_act, probs), converged,
                        gap(probs))
 
-
-def fidelity_to_truth(result_state: MixedState, truth) -> float:
-    """Fidelity of a low-dimensional reconstruction against a pure truth
-    state of any dimension >= dim_recon."""
-    rho = result_state.mat
-    t = np.asarray(truth.amps if hasattr(truth, "amps") else truth, dtype=complex)
-    d = rho.shape[0]
-    if t.size < d:
-        raise ValueError("truth dimension must be at least the reconstruction's")
-    head = t[:d]
-    return float(np.real(head.conj() @ rho @ head))

@@ -26,7 +26,6 @@ from catprep.rsp import (
 from catprep.states import ResourceParams, cv_pair, hybrid_entangled
 from catprep.tomography import (
     TomoConfig,
-    fidelity_to_truth,
     mle_reconstruct,
     sample_homodyne,
 )
@@ -165,11 +164,9 @@ def test_tomography_round_trips(capsys):
         truth = target_state(spec, 30)
         t0 = time.time()
         rec = sample_homodyne(truth, 12, 50_000, eta=1.0, seed=FROZEN_SEED)
-        f_clean = fidelity_to_truth(mle_reconstruct(rec, TomoConfig()).state, truth)
+        f_clean = fidelity(mle_reconstruct(rec, TomoConfig()).state, truth)
         rec = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
-        f_corr = fidelity_to_truth(
-            mle_reconstruct(rec, TomoConfig(eta_correction=0.85)).state, truth
-        )
+        f_corr = fidelity(mle_reconstruct(rec, TomoConfig(eta_correction=0.85)).state, truth)
         max_seconds = max(max_seconds, time.time() - t0)
         results.append((spec.kind, f_clean, f_corr))
     worst_clean = min(results, key=lambda r: r[1])

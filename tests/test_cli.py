@@ -327,6 +327,32 @@ def test_tomo_outputs(tmp_path):
     assert report["fidelity_recon_truth"] > 0.9
 
 
+def test_custom_targets_write_their_coefficients(tmp_path):
+    # two custom states of one alpha are told apart by the outputs: the truth of
+    # report.json and each custom fidelity entry of state.json carry c_plus and
+    # c_minus as the config's [re, im] pairs, and a named kind carries neither
+    customs = [{"kind": "custom", "alpha": 0.7, "c_plus": [0.6, 0.0], "c_minus": [0.0, 0.8]},
+               {"kind": "custom", "alpha": 0.7, "c_plus": [0.8, 0.0], "c_minus": [0.6, 0.0]}]
+    reports = []
+    for i, truth in enumerate(customs):
+        cfg = write_config(tmp_path, f"tomo{i}.json",
+                           {**TOMO_DOC, "dim": 16, "truth": truth, "n_samples": 2000})
+        assert run(["tomo", "--config", cfg, "--out", tmp_path / f"tomo{i}"]) == EXIT_OK
+        reports.append((tmp_path / f"tomo{i}" / "report.json").read_bytes())
+        assert json.loads(reports[-1])["truth"] == truth
+    assert reports[0] != reports[1]
+
+    cfg = write_config(tmp_path, "prep.json", {**PREP_DOC, "targets": [{"kind": "cat_minus"},
+                                                                        *customs]})
+    assert run(["prepare", "--config", cfg, "--out", tmp_path / "prep"]) == EXIT_OK
+    named, *custom = json.loads((tmp_path / "prep" / "state.json").read_text())["fidelities"]
+    assert "c_plus" not in named and "c_minus" not in named
+    for entry, target in zip(custom, customs, strict=True):
+        assert (entry["target"], entry["c_plus"], entry["c_minus"]) == (
+            "custom", target["c_plus"], target["c_minus"])
+    assert custom[0]["fidelity_simulated"] != custom[1]["fidelity_simulated"]
+
+
 README = Path(catprep.__file__).resolve().parents[2] / "README.md"
 
 

@@ -64,6 +64,13 @@ def test_mixed_state_rejects_negative_eigenvalue():
         MixedState(m)
 
 
+def test_two_mode_state_rejects_negative_eigenvalue():
+    # Hermitian and unit trace, but the eigenvalue -0.2 makes it no state
+    m = np.kron(np.diag([1.0, 0.0]), np.diag([1.2, -0.2, 0.0])).astype(complex)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        TwoModeState(m, 2, 3)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -142,6 +149,20 @@ def test_fidelity_mixture_is_convex():
     t = basis_state(0, 4)
     rho = MixedState(np.diag([0.25, 0.75, 0.0, 0.0]).astype(complex))
     assert np.isclose(fidelity(rho, t), 0.25)
+
+
+def test_fidelity_dimension_check():
+    result = MixedState(np.eye(4, dtype=complex) / 4)
+    with pytest.raises(ValueError):
+        fidelity(result, basis_state(0, 3))
+    with pytest.raises(ValueError):
+        fidelity(basis_state(0, 4), basis_state(0, 3))
+    # equal dimension works, and a longer target contributes its first 4 amplitudes
+    assert np.isclose(fidelity(result, basis_state(0, 4)), 0.25)
+    assert np.isclose(fidelity(result, basis_state(0, 6)), fidelity(result, basis_state(0, 4)))
+    assert np.isclose(fidelity(result, PureState(np.array([1, 0, 0, 0, 0, 1]) / np.sqrt(2))),
+                      0.125)
+    assert np.isclose(fidelity(basis_state(1, 4), basis_state(1, 6)), 1.0)
 
 
 def test_purity_bounds():

@@ -9,7 +9,7 @@ from numpy.polynomial import hermite_e
 from scipy.stats import norm
 
 from catprep.channels import loss_channel
-from catprep.fock import MixedState, fidelity
+from catprep.fock import EIG_TOL, MixedState, fidelity
 from catprep.homodyne import (
     PDF_BLOCK,
     Q_SUPPORT,
@@ -230,12 +230,21 @@ def test_broadcast_conditioning_operator_equals_scalar_calls(dim, theta, q, eta,
     def each(grid, make):
         return np.stack([make(value) for value in grid])
 
-    assert np.array_equal(conditioning_operator(dim, theta, qs, eta=eta),
+    points = conditioning_operator(dim, theta, qs, eta=eta)
+    losses = conditioning_operator(dim, theta, q, eta=etas)
+    widths = conditioning_operator(dim, theta, q, deltas, eta)
+    assert np.array_equal(points,
                           each(qs, lambda v: conditioning_operator(dim, theta, v, eta=eta)))
-    assert np.array_equal(conditioning_operator(dim, theta, q, eta=etas),
+    assert np.array_equal(losses,
                           each(etas, lambda v: conditioning_operator(dim, theta, q, eta=v)))
-    assert np.array_equal(conditioning_operator(dim, theta, q, deltas, eta),
+    assert np.array_equal(widths,
                           each(deltas, lambda v: conditioning_operator(dim, theta, q, v, eta)))
+    # every operator, a tail's too, is PSD by construction (non-negative weights on
+    # rank-one projectors through the completely positive loss adjoint), which is
+    # what lets the scans herald without checking a state
+    tail = conditioning_operator(dim, theta, abs(q), eta=eta, tail=True)
+    ops = np.concatenate([points, losses, widths, tail[None]])
+    assert np.linalg.eigvalsh(ops).min() >= -EIG_TOL
 
 
 def _check_acceptance_oracle(q_center, delta, eta, w, tail):

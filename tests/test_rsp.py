@@ -180,11 +180,11 @@ def test_scans_match_conditioned_states(dim_a, theta, q, eta, delta):
     ids=["q", "eta", "delta"],
 )
 def test_scans_reject_non_psd_resource(scan):
-    # Hermitian and unit trace, but every state it heralds is the non-PSD sigma
+    # Hermitian and unit trace, but every state it would herald is the non-PSD
+    # sigma: TwoModeState refuses it when it is built, so no scan can see it
     sigma = np.diag([1.2, -0.2] + [0.0] * 8)
-    res = TwoModeState(np.kron(np.diag([1.0, 0.0]), sigma), 2, 10)
-    with pytest.raises(ValueError):
-        scan(res)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        scan(TwoModeState(np.kron(np.diag([1.0, 0.0]), sigma), 2, 10))
 
 
 @pytest.mark.parametrize(

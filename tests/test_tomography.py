@@ -23,7 +23,6 @@ from catprep.tomography import (
     _project_density,
     _r_operator,
     bin_records,
-    fidelity_to_truth,
     mle_reconstruct,
     sample_homodyne,
     write_records,
@@ -268,7 +267,7 @@ def test_round_trip_cat_reconstruction():
     cfg = TomoConfig()
     result = mle_reconstruct(records, cfg)
     assert result.converged
-    f = fidelity_to_truth(result.state, truth)
+    f = fidelity(result.state, truth)
     assert f >= 0.995
 
 
@@ -277,8 +276,8 @@ def test_loss_correction_improves_fidelity():
     records = sample_homodyne(truth, 12, 50_000, eta=0.85, seed=FROZEN_SEED)
     plain = mle_reconstruct(records, TomoConfig())
     corrected = mle_reconstruct(records, TomoConfig(eta_correction=0.85))
-    f_plain = fidelity_to_truth(plain.state, truth)
-    f_corr = fidelity_to_truth(corrected.state, truth)
+    f_plain = fidelity(plain.state, truth)
+    f_corr = fidelity(corrected.state, truth)
     assert f_corr > f_plain
     assert f_corr >= 0.98
 
@@ -312,12 +311,8 @@ def test_bin_width_insensitivity():
     # coarser bins cost a little information but not the reconstruction
     truth = cat(0.7, "odd", 30)
     records = sample_homodyne(truth, 12, 30_000, seed=FROZEN_SEED)
-    f1 = fidelity_to_truth(
-        mle_reconstruct(records, TomoConfig(bin_width_snu=0.05)).state, truth
-    )
-    f2 = fidelity_to_truth(
-        mle_reconstruct(records, TomoConfig(bin_width_snu=0.2)).state, truth
-    )
+    f1 = fidelity(mle_reconstruct(records, TomoConfig(bin_width_snu=0.05)).state, truth)
+    f2 = fidelity(mle_reconstruct(records, TomoConfig(bin_width_snu=0.2)).state, truth)
     assert f1 >= 0.99 and f2 >= 0.99
     assert abs(f1 - f2) <= 0.01
 
@@ -346,18 +341,6 @@ def test_reconstruction_output_is_physical():
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     assert np.isfinite(result.log_likelihood)
-
-
-def test_fidelity_to_truth_dimension_check():
-    result = MixedState(np.eye(4, dtype=complex) / 4)
-    with pytest.raises(ValueError):
-        fidelity_to_truth(result, basis_state(0, 3))
-    # equal dimension works and matches the full fidelity
-    assert np.isclose(fidelity_to_truth(result, basis_state(0, 4)), 0.25)
-    assert np.isclose(
-        fidelity_to_truth(result, basis_state(0, 4)),
-        fidelity(MixedState(np.eye(4, dtype=complex) / 4), basis_state(0, 4)),
-    )
 
 
 def reference_povm(cfg):
