@@ -9,8 +9,10 @@ same float. No timestamps are written, so reruns are byte-identical.
 
 Each subcommand parses its config into the library's objects before it computes.
 An object that holds a dataclass's settings is built from its fields, one key per
-field, and a key that nothing reads is refused. Only main maps errors to exit codes:
-0 success, 1 output error, 2 config error, 3 numerical failure.
+field, and a key that nothing reads is refused. A subcommand's compute step writes
+nothing: it returns its files as (name, writer, args) and its stdout lines, and main
+lands the files as one set (files.write_set), then prints the lines. Only main maps
+errors to exit codes: 0 success, 1 output error, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import replacing, write_csv
+from .files import write_csv, write_set
 from .fock import fidelity, mean_photon_number, purity
 from .homodyne import WINDOW_MAX, Conditioning, condition
 from .rsp import (
@@ -70,8 +72,7 @@ def write_json(obj, path) -> None:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # JSON has no inf or nan, and json.loads reads neither
         raise ValueError(f"cannot write the non-finite number as JSON: {exc}") from exc
-    with replacing(path) as fh:
-        fh.write((text + "\n").encode())
+    Path(path).write_bytes((text + "\n").encode())
 
 
 def write_scan_csv(params, targets, fids, path) -> None:
@@ -224,7 +225,7 @@ def _parse_dim(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict):
-    """Parse a scan config; the returned step computes and writes into out_dir."""
+    """Parse a scan config; the returned step computes the three scans' files and lines."""
     _object(cfg, "the top level", ("dim", "resource", "theta_rad", "q_grid_snu", "targets",
                                    "eta_grid", "eta_scan", "delta_grid_snu", "delta_scan"))
     dim = _parse_dim(cfg)
@@ -248,26 +249,21 @@ def cmd_scan(cfg: dict):
     delta_q, delta_target = _parse_point(cfg.get("delta_scan", {"target": {"kind": "cat_minus"}}),
                                          "delta_scan", params.alpha, dim)
 
-    def run(out_dir: Path) -> None:
+    def run():
         resource = hybrid_entangled(params, dim_b=dim)
-
-        fids_c = fidelity_vs_q(resource, theta, q_grid, targets)
         kinds = [spec.kind for spec in targets]
-        write_scan_csv(np.repeat(q_grid, len(kinds)), np.tile(kinds, len(q_grid)), fids_c.ravel(),
-                       out_dir / "fig1c.csv")
-        print(f"wrote fig1c.csv ({fids_c.size} rows)")
-
+        fids_c = fidelity_vs_q(resource, theta, q_grid, targets).ravel()
         fids_d = np.concatenate([fidelity_vs_eta(resource, q_center, theta, eta_grid, target)
                                  for q_center, target in eta_points])
-        write_scan_csv(np.tile(eta_grid, len(eta_points)),
-                       np.repeat([target.kind for _, target in eta_points], eta_grid.size),
-                       fids_d, out_dir / "fig1d.csv")
-        print(f"wrote fig1d.csv ({fids_d.size} rows)")
-
         fids_e = fidelity_vs_delta(resource, delta_q, theta, delta_grid, delta_target)
-        write_scan_csv(delta_grid, np.repeat(delta_target.kind, delta_grid.size), fids_e,
-                       out_dir / "fig1e.csv")
-        print(f"wrote fig1e.csv ({fids_e.size} rows)")
+        outputs = [("fig1c.csv", write_scan_csv,
+                    (np.repeat(q_grid, len(kinds)), np.tile(kinds, len(q_grid)), fids_c)),
+                   ("fig1d.csv", write_scan_csv,
+                    (np.tile(eta_grid, len(eta_points)),
+                     np.repeat([target.kind for _, target in eta_points], eta_grid.size), fids_d)),
+                   ("fig1e.csv", write_scan_csv,
+                    (delta_grid, np.repeat(delta_target.kind, delta_grid.size), fids_e))]
+        return outputs, [f"wrote {name} ({args[-1].size} rows)" for name, _, args in outputs]
 
     return run
 
@@ -290,7 +286,7 @@ def _parse_conditioning(cfg: dict, row: Table1Row | None) -> Conditioning:
 
 
 def cmd_prepare(cfg: dict):
-    """Parse a prepare config; the returned step computes and writes into out_dir."""
+    """Parse a prepare config; the returned step computes the state's files and lines."""
     _object(cfg, "the top level", ("dim", "resource", "table1_row", "conditioning", "bloch_alpha",
                                    "wigner", "targets"))
     dim = _parse_dim(cfg)
@@ -306,7 +302,7 @@ def cmd_prepare(cfg: dict):
     )
     targets = _parse_targets(cfg, params.alpha, dim)
 
-    def run(out_dir: Path) -> None:
+    def run():
         resource = hybrid_entangled(params, dim_b=dim)
         prep = condition(resource, cond)
         rate = heralded_rate(prep.success_prob)
@@ -335,33 +331,31 @@ def cmd_prepare(cfg: dict):
             "mean_photon_number": mean_photon_number(prep.rho),
             "fidelities": fid_rows,
         }
-        write_json(state_doc, out_dir / "state.json")
-
-        coords = bloch_embed(prep.rho, bloch_alpha)
-        write_json({**dataclasses.asdict(coords), "alpha": bloch_alpha}, out_dir / "bloch.json")
-
+        bloch = {**dataclasses.asdict(bloch_embed(prep.rho, bloch_alpha)), "alpha": bloch_alpha}
         values = wigner_grid(prep.rho, xs, ps)
-        write_grid_csv(xs, ps, values, out_dir / "wigner.csv")
         descriptor = f"conditioned q={cond.q_center_snu:g} theta={cond.theta_rad:g}"
         meta = grid_metadata(xs, ps, dim, descriptor)
         meta["w_origin"] = wigner_origin(prep.rho)
         meta["negativity_min"] = float(values.min())
-        write_json(meta, out_dir / "wigner.json")
-
-        print(f"success_prob = {prep.success_prob:.6g}"
-              + (" (density)" if prep.success_is_density else ""))
-        print(f"heralded_rate_hz = {rate:.6g}")
+        outputs = [("state.json", write_json, (state_doc,)),
+                   ("bloch.json", write_json, (bloch,)),
+                   ("wigner.csv", write_grid_csv, (xs, ps, values)),
+                   ("wigner.json", write_json, (meta,))]
+        lines = [f"success_prob = {prep.success_prob:.6g}"
+                 + (" (density)" if prep.success_is_density else ""),
+                 f"heralded_rate_hz = {rate:.6g}"]
         for entry in fid_rows:
             line = f"F[{entry['target']}] = {entry['fidelity_simulated']:.4f} (simulated)"
             if entry["fidelity_published"] is not None:
                 line += f" vs {entry['fidelity_published']:.2f} (published)"
-            print(line)
+            lines.append(line)
+        return outputs, lines
 
     return run
 
 
 def cmd_tomo(cfg: dict):
-    """Parse a tomo config; the returned step samples, reconstructs and writes into out_dir."""
+    """Parse a tomo config; the returned step samples, reconstructs and returns files and lines."""
     _object(cfg, "the top level", ("dim", "resource", "truth", "n_samples", "eta", "seed", "tomo"))
     dim = _parse_dim(cfg)
     params = _parse_resource(cfg, dim)
@@ -383,23 +377,18 @@ def cmd_tomo(cfg: dict):
     if tomo_cfg.n_phases < tomo_cfg.dim_recon:  # too few equally spaced phases to fix rho
         raise ConfigError(f"tomo: n_phases must be at least dim_recon = {tomo_cfg.dim_recon}")
 
-    def run(out_dir: Path) -> None:
+    def run():
         truth = target_state(truth_spec, dim)
         records = sample_homodyne(truth, tomo_cfg.n_phases, n_samples, eta=eta, seed=seed)
-        write_records(records, out_dir / "records.csv")
-
         result = mle_reconstruct(records, tomo_cfg)
-        write_json(
-            {
-                "dim": tomo_cfg.dim_recon,
-                "rho": _rho_pairs(result.state.mat),
-                "iterations": result.iterations,
-                "log_likelihood": result.log_likelihood,
-                "converged": result.converged,
-                "optimality_gap": result.optimality_gap,
-            },
-            out_dir / "recon.json",
-        )
+        recon = {
+            "dim": tomo_cfg.dim_recon,
+            "rho": _rho_pairs(result.state.mat),
+            "iterations": result.iterations,
+            "log_likelihood": result.log_likelihood,
+            "converged": result.converged,
+            "optimality_gap": result.optimality_gap,
+        }
 
         fid = fidelity(result.state, truth)
         w_origin = wigner_origin(result.state)
@@ -415,9 +404,12 @@ def cmd_tomo(cfg: dict):
             "iterations": result.iterations,
             "converged": result.converged,
         }
-        write_json(report, out_dir / "report.json")
-        print(f"F(recon, truth) = {fid:.4f}, W(0,0) = {w_origin:.4f}, "
-              f"{result.iterations} iterations{'' if result.converged else ' (not converged)'}")
+        outputs = [("records.csv", write_records, (records,)),
+                   ("recon.json", write_json, (recon,)),
+                   ("report.json", write_json, (report,))]
+        line = (f"F(recon, truth) = {fid:.4f}, W(0,0) = {w_origin:.4f}, "
+                f"{result.iterations} iterations{'' if result.converged else ' (not converged)'}")
+        return outputs, [line]
 
     return run
 
@@ -456,13 +448,15 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            run(out_dir)
+            outputs, lines = run()
+            write_set(out_dir, outputs)
         except (ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except OSError as exc:  # an output file that cannot be written
             print(f"output error: {exc}", file=sys.stderr)
             return EXIT_OUTPUT
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -1,10 +1,9 @@
-"""Output files replaced whole: a failed or repeated write never truncates one.
+"""Output files landed as a set: a failed or repeated run never truncates one.
 
 CSV text is built by numpy arithmetic: each float becomes exactly the bytes of
 "%.17g" % x, so the files are those that a % operation on every value writes.
 """
 
-import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -140,21 +139,25 @@ def _g17(x):
     return cell
 
 
-@contextlib.contextmanager
-def replacing(path):
-    """A temporary binary file next to path, renamed onto path once the block ends
-    without an error and removed on an error, so the previous file stays. path is
-    unlinked before the rename: ext4 (auto_da_alloc) flushes the new data when a
-    rename replaces a file or a file is truncated, which slows rewrites severalfold."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+def write_set(out_dir, outputs) -> None:
+    """Write a command's files into out_dir together: outputs is an ordered list of
+    (file name, writer, args), and writer(*args, path) writes one file. Each is written
+    to a temporary file in out_dir, and only once all are written is each renamed onto
+    its name; on an error the temporaries are removed, so the previous files stay. A
+    rename that fails after earlier ones succeeded leaves a mix of old and new files.
+    Each name is unlinked before its rename: ext4 (auto_da_alloc) flushes the new data
+    when a rename replaces a file or a file is truncated, which slows rewrites severalfold."""
+    out_dir = Path(out_dir)
+    staged = [(out_dir / f".{name}.tmp", out_dir / name) for name, _, _ in outputs]
     try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        path.unlink(missing_ok=True)
-        tmp.rename(path)
+        for (tmp, _), (_, writer, args) in zip(staged, outputs):
+            writer(*args, tmp)
+        for tmp, path in staged:
+            path.unlink(missing_ok=True)
+            tmp.rename(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -186,12 +189,12 @@ def _csv_blocks(table):
 
 
 def write_csv(path, *tables) -> None:
-    """Replace path with CSV text: the lines of each table in turn. A table is a tuple of
+    """Write CSV text to path: the lines of each table in turn. A table is a tuple of
     2-D arrays with one row per line, joined left to right; float arrays are written as
     "%.17g" % v writes each value, bytes arrays as they are. Lines end in CRLF, as
     csv.writer ends them, but nothing is quoted: no field may hold a comma, a quote, a
     line break or a NUL."""
-    with replacing(path) as fh:
+    with open(path, "wb") as fh:
         for table in tables:
             for block in _csv_blocks(table):
                 fh.write(block)

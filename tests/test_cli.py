@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import importlib
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catprep
-from catprep import tomography
+from catprep import cli, tomography
 from catprep.cli import (
     _READERS,
     EXIT_CONFIG,
@@ -32,6 +33,7 @@ from catprep.cli import (
     write_json,
     write_scan_csv,
 )
+from catprep.files import write_set
 from catprep.homodyne import WINDOW_MAX, Conditioning
 from catprep.rsp import TABLE1, TargetSpec, fidelity_vs_q
 from catprep.states import ResourceParams, cat, hybrid_entangled
@@ -436,7 +438,8 @@ def fuzzed_configs(draw):
 @given(fuzzed_configs())
 def test_fuzzed_configs_exit_cleanly(tmp_path_factory, command_doc):
     # every config exits 0 to 3 without a traceback or a warning, with at most one
-    # line on stderr (none on success), and a config error writes no file
+    # line on stderr (none on success), and a config error or a numerical failure
+    # writes no file
     command, doc = command_doc
     base = tmp_path_factory.mktemp("fuzz")
     cfg, out = write_config(base, "cfg.json", doc), base / "out"
@@ -448,7 +451,7 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, command_doc):
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (EXIT_OK, EXIT_OUTPUT, EXIT_CONFIG, EXIT_NUMERICAL)
     assert len(lines) <= (0 if code == EXIT_OK else 1), lines
-    if code == EXIT_CONFIG:
+    if code in (EXIT_CONFIG, EXIT_NUMERICAL):
         assert not any(out.iterdir())
 
 
@@ -846,7 +849,7 @@ def test_failed_output_write_is_an_output_error(tmp_path, capsys):
 
 
 def test_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    # a -inf log likelihood cannot be written as JSON: the run exits 3, recon.json is absent
+    # a -inf log likelihood cannot be written as JSON: the run exits 3 and writes no file
     real = tomography.mle_reconstruct
     monkeypatch.setattr("catprep.cli.mle_reconstruct", lambda records, cfg: dataclasses.replace(
         real(records, cfg), log_likelihood=float("-inf")))
@@ -854,7 +857,7 @@ def test_non_finite_output_is_a_numerical_failure(tmp_path, capsys, monkeypatch)
     out = tmp_path / "out"
     assert run(["tomo", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure: cannot write the non-finite")
-    assert sorted(p.name for p in out.iterdir()) == ["records.csv"]  # no .recon.json.tmp left
+    assert not any(out.iterdir())  # no records.csv, and no .records.csv.tmp left
 
 
 def test_unsizable_bin_count_is_a_numerical_failure(tmp_path, capsys):
@@ -890,13 +893,58 @@ WRITERS = {  # writer, a document it writes, and one it fails on
 def test_failed_rewrite_keeps_the_previous_file(tmp_path, name):
     writer, good, bad = WRITERS[name]
     path = tmp_path / "out.txt"
-    writer(good, path)
-    writer(good, path)  # a rewrite replaces the existing file
+    write_set(tmp_path, [("out.txt", writer, (good,))])
+    write_set(tmp_path, [("out.txt", writer, (good,))])  # a rewrite replaces the existing file
     before = path.read_bytes()
-    with pytest.raises((TypeError, KeyError, ValueError)):
-        writer(bad, path)
+    with pytest.raises((TypeError, KeyError, ValueError)):  # new.txt is written, then out.txt fails
+        write_set(tmp_path, [("new.txt", writer, (good,)), ("out.txt", writer, (bad,))])
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]  # no temporary file left
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]  # no new.txt, no temporary file
+
+
+FAILING_SCAN = {  # the delta scan's window at q = 1000 has zero probability
+    "dim": 12, "q_grid_snu": [-1.0, 1.0], "eta_grid": [0.8, 1.0],
+    "eta_scan": [{"q_center_snu": 0.0, "target": {"kind": "cat_minus"}}],
+    "delta_scan": {"q_center_snu": 1000.0, "target": {"kind": "cat_minus"}},
+}
+
+
+@pytest.mark.parametrize("command, doc, failing", [
+    ("scan", {**FAILING_SCAN, "delta_scan": {"target": {"kind": "cat_minus"}}}, FAILING_SCAN),
+    ("tomo", TOMO_DOC, {**TOMO_DOC, "n_samples": 1}),  # one record fills one bin
+])
+def test_numerical_failure_writes_no_file(tmp_path, capsys, command, doc, failing):
+    # a run that fails after some outputs are computed leaves --out as it was: empty,
+    # then holding an earlier run's files byte for byte
+    out = tmp_path / "out"
+    bad = write_config(tmp_path, "bad.json", failing)
+    assert run([command, "--config", bad, "--out", out]) == EXIT_NUMERICAL
+    assert not any(out.iterdir())
+    assert run([command, "--config", write_config(tmp_path, "ok.json", doc), "--out", out]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run([command, "--config", bad, "--out", out]) == EXIT_NUMERICAL
+    assert capsys.readouterr().out == ""  # no "wrote" line for a file that was not written
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, doc, calls", [
+    ("scan", SCAN_DOC, {"write_scan_csv": 3}),
+    ("prepare", PREP_DOC, {"write_json": 3, "write_grid_csv": 1}),
+    ("tomo", TOMO_DOC, {"write_records": 1, "write_json": 2}),
+])
+def test_main_calls_the_writers_that_cli_binds(tmp_path, monkeypatch, command, doc, calls):
+    # a tracer wraps each writer where cli binds it, so main must look each up there when
+    # it writes; a writer table built at import time would keep the unwrapped ones
+    counts = collections.Counter()
+    for name in ("write_json", "write_scan_csv", "write_records", "write_grid_csv"):
+        def counting(*args, name=name, writer=getattr(cli, name)):
+            counts[name] += 1
+            return writer(*args)
+        monkeypatch.setattr(cli, name, counting)
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == EXIT_OK
+    assert counts == calls
 
 
 def test_negative_seed_flag_exits_with_config_error(tmp_path, capsys):

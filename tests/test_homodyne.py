@@ -189,9 +189,11 @@ def test_conditioning_validation():
             Conditioning(delta_snu=delta)
         with pytest.raises(ValueError):
             conditioning_operator(2, 0.0, 0.0, [0.0, 0.2, delta])
-    for q_center in (12.0, -1.0, np.nan):  # off-POVM or NaN operators if unchecked
+    for q_center in (Q_SUPPORT, 12.0, -1.0, np.nan):  # off-POVM or NaN operators if unchecked
         with pytest.raises(ValueError, match="a tail needs"):
             conditioning_operator(4, 0.0, q_center, tail=True)
+        with pytest.raises(ValueError, match="a tail needs"):
+            Conditioning(q_center_snu=q_center, tail=True)
 
 
 def _window_error(dim, q_center, delta, window):

@@ -58,10 +58,15 @@ def test_custom_target_requires_normalized_coefficients():
     s = target_state(spec, 30)
     want = 0.6 * cat(0.7, "even", 30).amps + 0.8j * cat(0.7, "odd", 30).amps
     assert abs(np.vdot(want, s.amps)) > 1 - 1e-12
+    # a coefficient of exactly 1 is normalized: the even cat itself
+    even = target_state(TargetSpec("custom", c_plus=1, c_minus=0), 30)
+    assert np.array_equal(even.amps, cat(0.7, "even", 30).amps)
     with pytest.raises(ValueError):
         TargetSpec("custom", c_plus=0.9, c_minus=0.9)
     with pytest.raises(ValueError):
         TargetSpec("something_else")
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        TargetSpec("cat_minus", alpha=0.0)
     # a part above 1 is refused before |c|^2 is formed, which overflows here
     for c_plus, c_minus in [(1e200, 0), (complex(1e308, 1e308), 0), (0, 1e200j)]:
         with pytest.raises(ValueError, match="c_plus = .* c_minus = .* must be normalized"):
